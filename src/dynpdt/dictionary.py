@@ -8,6 +8,15 @@ limit are reached through a chain of synthetic step nodes, each standing
 for a fixed-size hop. Lookups therefore compare one label per labeled
 node on the path and never rescan shared prefixes.
 
+All three operations share one descent, _walk(). It keeps the terminated
+keyword whole and advances an offset into it: at each labeled node it
+tests for an exact match in place, otherwise computes the first
+differing byte and follows the step hops and the branch edge. It ends
+either at the keyword's node or at the first missing child, reported as
+the node it stopped at, the step hops still owed, the branch edge code
+and the keyword offset of the branching byte. lookup() and delete() read
+that result; insert() creates just the missing tail from it.
+
 Deletion clears a node's value but keeps the node, so the trie only ever
 grows; re-inserting a deleted keyword revives it in place.
 """
@@ -33,6 +42,7 @@ class Dictionary:
     def __init__(self, config: Config | None = None) -> None:
         self._config = config or Config()
         self._lam = self._config.offset_limit
+        self._lam_bits = self._lam.bit_length() - 1
         self._step_code = self._config.step_code
         self._backend = make_backend(self._config, self._on_grow)
         self._nlm = make_label_map(self._config, self._backend.family)
@@ -44,21 +54,62 @@ class Dictionary:
         else:
             self._nlm.remap(remap, new_capacity)
 
-    @staticmethod
-    def _mismatch_index(s: bytes, stored: bytes) -> int:
-        """First index where terminated residual s differs from the label.
+    def _walk(self, s: bytes):
+        """Descend along terminated keyword s; the one walk of all operations.
 
-        The label is stored without its terminator, so when the common
-        window matches, the strings diverge exactly where the shorter one
-        terminates. Callers handle exact equality beforehand.
+        Returns (node, payload, hops, code, pos). When s has a node, payload
+        is its label record and the rest is unused. Otherwise payload is
+        None and node is where the path stops: below it, hops step nodes
+        and then the edge code are missing, and s[pos] is the branching
+        byte, so s[pos + 1:-1] is the label a new node would take. A code
+        of None means the root has no label yet: the dictionary is empty.
         """
-        w = len(stored) if len(stored) < len(s) else len(s)
-        x = int.from_bytes(s[:w], "big") ^ int.from_bytes(stored[:w], "big")
-        if x:
-            return w - ((x.bit_length() + 7) >> 3)
-        if len(s) > w:
-            return w
-        raise CorruptionError("terminated strings cannot nest")
+        backend = self._backend
+        getchild = backend.getchild
+        access = self._nlm.access
+        u = backend.root_id
+        payload = access(u)
+        if payload is None:
+            return u, None, 0, None, 0
+        lam_bits = self._lam_bits
+        off_mask = self._lam - 1
+        step = self._step_code
+        n = len(s) - 1  # s[n] is the terminator
+        pos = 0  # the residual keyword is s[pos:]
+        while True:
+            stored = payload.label
+            m = len(stored)
+            r = n - pos
+            if m == r and s.startswith(stored, pos):
+                return u, payload, 0, None, 0
+            # the label is stored without its terminator, so when the common
+            # window matches the strings diverge where the shorter one ends
+            w = m if m <= r else r + 1
+            x = int.from_bytes(s[pos:pos + w], "big") ^ int.from_bytes(stored[:w], "big")
+            if x:
+                i = pos + w - ((x.bit_length() + 7) >> 3)
+            elif m < r:
+                i = pos + m
+            else:
+                raise CorruptionError("terminated strings cannot nest")
+            hops = (i - pos) >> lam_bits
+            c = (s[i] << lam_bits) | ((i - pos) & off_mask)
+            while hops:
+                v = getchild(u, step)
+                if v is None:
+                    return u, None, hops, c, i
+                u = v
+                hops -= 1
+            v = getchild(u, c)
+            if v is None:
+                return u, None, 0, c, i
+            u = v
+            # an edge can carry the terminator itself; the residual after
+            # it is the empty keyword, which s[n:] spells
+            pos = i + 1 if i < n else n
+            payload = access(u)
+            if payload is None:
+                raise CorruptionError(f"node {u} has no label record")
 
     def insert(self, keyword, value: int) -> bool:
         """Map keyword to value; False if it is already present.
@@ -69,47 +120,26 @@ class Dictionary:
         s = validate_keyword(keyword)
         if not 0 <= value < NO_VALUE:
             raise ValueError(f"value must be in [0, {NO_VALUE})")
-        backend = self._backend
+        u, payload, hops, c, i = self._walk(s)
         nlm = self._nlm
-        u = backend.root_id
-        payload = nlm.access(u)
-        if payload is None:
+        if payload is not None:
+            if payload.value != NO_VALUE:
+                return False
+            nlm.update_value(u, value)
+        elif c is None:
             # very first keyword: the root takes it whole
             nlm.associate(u, s[:-1], value)
-            self._live += 1
-            return True
-        lam = self._lam
-        step = self._step_code
-        while True:
-            stored = payload.label
-            if len(s) == len(stored) + 1 and s[:-1] == stored:
-                if payload.value != NO_VALUE:
-                    return False
-                nlm.update_value(u, value)
-                self._live += 1
-                return True
-            i = self._mismatch_index(s, stored)
-            hops, off = divmod(i, lam)
+        else:
+            backend = self._backend
+            step = self._step_code
             while hops:
-                v = backend.getchild(u, step)
-                if v is None:
-                    v = backend.addchild(u, step)
-                    nlm.associate_step(v)
-                u = v
+                u = backend.addchild(u, step)
+                nlm.associate_step(u)
                 hops -= 1
-            c = s[i] * lam + off
-            v = backend.getchild(u, c)
-            if v is None:
-                v = backend.addchild(u, c)
-                rest = s[i + 1:]
-                nlm.associate(v, rest[:-1], value)
-                self._live += 1
-                return True
-            u = v
-            s = s[i + 1:] or b"\x00"
-            payload = nlm.access(u)
-            if payload is None:
-                raise CorruptionError(f"node {u} has no label record")
+            u = backend.addchild(u, c)
+            nlm.associate(u, s[i + 1:-1], value)
+        self._live += 1
+        return True
 
     def _locate(self, s: bytes):
         """Walk a terminated keyword to its node; (node, payload) or None.
@@ -117,32 +147,8 @@ class Dictionary:
         Purely structural: a located node may still hold the cleared-value
         marker left behind by delete().
         """
-        backend = self._backend
-        nlm = self._nlm
-        u = backend.root_id
-        payload = nlm.access(u)
-        if payload is None:
-            return None
-        lam = self._lam
-        step = self._step_code
-        while True:
-            stored = payload.label
-            if len(s) == len(stored) + 1 and s[:-1] == stored:
-                return u, payload
-            i = self._mismatch_index(s, stored)
-            hops, off = divmod(i, lam)
-            while hops:
-                u = backend.getchild(u, step)
-                if u is None:
-                    return None
-                hops -= 1
-            u = backend.getchild(u, s[i] * lam + off)
-            if u is None:
-                return None
-            s = s[i + 1:] or b"\x00"
-            payload = nlm.access(u)
-            if payload is None:
-                raise CorruptionError(f"node {u} has no label record")
+        u, payload = self._walk(s)[:2]
+        return None if payload is None else (u, payload)
 
     def lookup(self, keyword) -> Optional[int]:
         """Value stored for keyword, or None. Malformed keywords are absent."""
@@ -150,10 +156,10 @@ class Dictionary:
             s = validate_keyword(keyword)
         except InvalidKeyword:
             return None
-        hit = self._locate(s)
-        if hit is None:
+        payload = self._walk(s)[1]
+        if payload is None:
             return None
-        value = hit[1].value
+        value = payload.value
         return None if value == NO_VALUE else value
 
     def delete(self, keyword) -> bool:
@@ -162,10 +168,10 @@ class Dictionary:
             s = validate_keyword(keyword)
         except InvalidKeyword:
             return False
-        hit = self._locate(s)
-        if hit is None or hit[1].value == NO_VALUE:
+        u, payload = self._walk(s)[:2]
+        if payload is None or payload.value == NO_VALUE:
             return False
-        self._nlm.update_value(hit[0], NO_VALUE)
+        self._nlm.update_value(u, NO_VALUE)
         self._live -= 1
         return True
 

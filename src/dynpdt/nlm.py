@@ -33,25 +33,12 @@ class Payload(NamedTuple):
 
 
 _STEP = Payload(b"", None)
+_new = tuple.__new__  # builds a Payload without NamedTuple.__new__'s frame
 _STEP_RECORD = b"\x00"
 
 
 def _encode_record(label: bytes, value: int) -> bytes:
     return vbyte_encode(len(label) + 1) + label + value.to_bytes(4, "little")
-
-
-def _parse_record(buf, pos: int) -> tuple[Payload, int]:
-    """Decode the record at pos; returns (payload, end position)."""
-    field = buf[pos]
-    used = 1
-    if field >= 0x80:
-        field, used = vbyte_decode(buf, pos)
-    if field == 0:
-        return _STEP, pos + used
-    start = pos + used
-    end = start + field - 1
-    value = int.from_bytes(buf[end:end + 4], "little")
-    return Payload(bytes(buf[start:end]), value), end + 4
 
 
 def _skip_records(buf, pos: int, count: int) -> int:
@@ -86,12 +73,20 @@ class PlainLabelMap:
         self._refs[nid] = bytearray(_STEP_RECORD)
 
     def access(self, nid: int) -> Payload | None:
-        if nid >= len(self._refs):
+        refs = self._refs
+        if nid >= len(refs):
             return None
-        buf = self._refs[nid]
+        buf = refs[nid]
         if buf is None:
             return None
-        return _parse_record(buf, 0)[0]
+        field = buf[0]
+        start = 1
+        if field >= 0x80:
+            field, start = vbyte_decode(buf, 0)
+        if field == 0:
+            return _STEP
+        end = start + field - 1
+        return _new(Payload, (bytes(buf[start:end]), int.from_bytes(buf[end:end + 4], "little")))
 
     def update_value(self, nid: int, value: int) -> None:
         buf = self._refs[nid]
@@ -113,7 +108,7 @@ class PlainLabelMap:
     def iter_items(self):
         for nid, buf in enumerate(self._refs):
             if buf is not None:
-                yield nid, _parse_record(buf, 0)[0]
+                yield nid, self.access(nid)
 
     def memory_bytes(self) -> int:
         total = sys.getsizeof(self._refs)
@@ -136,17 +131,10 @@ class SparseLabelMapBonsai:
             raise ContractViolation("group_size must divide 64")
         self._ell = group_size
         self._shift = group_size.bit_length() - 1
+        self._group_floor = ~(group_size - 1)  # bit & floor: first bit of its group
         self._capacity = capacity
         self._groups: list[bytearray | None] = [None] * (capacity >> self._shift)
         self._bits = BitVector(capacity)
-
-    def _locate(self, nid: int) -> tuple[bytearray, int]:
-        g = nid >> self._shift
-        base = g << self._shift
-        chunk = self._bits.chunk(base, self._ell)
-        rank = (chunk & ((1 << (nid - base + 1)) - 1)).bit_count() - 1
-        buf = self._groups[g]
-        return buf, _skip_records(buf, 0, rank)
 
     def _insert(self, nid: int, record: bytes) -> None:
         if self._bits.get(nid):
@@ -170,31 +158,67 @@ class SparseLabelMapBonsai:
     def associate_step(self, nid: int) -> None:
         self._insert(nid, _STEP_RECORD)
 
-    def access(self, nid: int) -> Payload | None:
-        if nid >= self._capacity or not self._bits.get(nid):
-            return None
-        buf, pos = self._locate(nid)
-        return _parse_record(buf, pos)[0]
+    def _record(self, nid: int, new_value: int | None = None) -> Payload | None:
+        """Decode nid's record, or overwrite its value with new_value.
 
-    def update_value(self, nid: int, value: int) -> None:
-        if not self._bits.get(nid):
+        This is access() when new_value is None and update_value()
+        otherwise, so both find records through the same code. One frame:
+        the occupancy test and the rank read the bitmap word directly.
+        """
+        bit = nid & 63
+        word = self._bits._words[nid >> 6] if nid < self._capacity else 0
+        if not (word >> bit) & 1:
+            if new_value is None:
+                return None
             raise ContractViolation(f"id {nid} has no record")
-        buf, pos = self._locate(nid)
+        # set bits of the group below nid; the group never straddles a word
+        rank = ((word & ((1 << bit) - 1)) >> (bit & self._group_floor)).bit_count()
+        buf = self._groups[nid >> self._shift]
+        pos = 0
+        while rank:
+            field = buf[pos]
+            if field < 0x80:
+                pos += field + 4 if field else 1
+            else:
+                field, used = vbyte_decode(buf, pos)
+                pos += used + field - 1 + 4
+            rank -= 1
         field = buf[pos]
-        used = 1
+        start = pos + 1
         if field >= 0x80:
             field, used = vbyte_decode(buf, pos)
+            start = pos + used
         if field == 0:
+            if new_value is None:
+                return _STEP
             raise ContractViolation("step records carry no value")
-        end = pos + used + field - 1
-        buf[end:end + 4] = value.to_bytes(4, "little")
+        end = start + field - 1
+        if new_value is None:
+            return _new(Payload, (bytes(buf[start:end]), int.from_bytes(buf[end:end + 4], "little")))
+        buf[end:end + 4] = new_value.to_bytes(4, "little")
+        return None
+
+    access = _record
+
+    def update_value(self, nid: int, value: int) -> None:
+        self._record(nid, value)
 
     def remap(self, old_to_new: dict[int, int], new_capacity: int) -> None:
         records = []
-        for nid in self._bits.iter_set():
-            buf, pos = self._locate(nid)
-            end = _skip_records(buf, pos, 1)
-            records.append((old_to_new[nid], bytes(buf[pos:end])))
+        ell = self._ell
+        bits = self._bits
+        for g, buf in enumerate(self._groups):
+            if buf is None:
+                continue
+            base = g << self._shift
+            chunk = bits.chunk(base, ell)
+            pos = 0
+            while chunk:
+                low = chunk & -chunk
+                end = _skip_records(buf, pos, 1)
+                records.append((old_to_new[base + low.bit_length() - 1], bytes(buf[pos:end])))
+                pos = end
+                chunk ^= low
         self._capacity = new_capacity
         self._groups = [None] * (new_capacity >> self._shift)
         self._bits = BitVector(new_capacity)
@@ -203,8 +227,7 @@ class SparseLabelMapBonsai:
 
     def iter_items(self):
         for nid in self._bits.iter_set():
-            buf, pos = self._locate(nid)
-            yield nid, _parse_record(buf, pos)[0]
+            yield nid, self.access(nid)
 
     def memory_bytes(self) -> int:
         total = sys.getsizeof(self._groups) + self._bits.allocated_bytes
@@ -245,26 +268,47 @@ class SparseLabelMapFK:
     def associate_step(self, nid: int) -> None:
         self._append(nid, _STEP_RECORD)
 
-    def access(self, nid: int) -> Payload | None:
-        if nid >= self._count:
-            return None
-        buf = self._groups[nid >> self._shift]
-        pos = _skip_records(buf, 0, nid & (self._ell - 1))
-        return _parse_record(buf, pos)[0]
+    def _record(self, nid: int, new_value: int | None = None) -> Payload | None:
+        """Decode nid's record, or overwrite its value with new_value.
 
-    def update_value(self, nid: int, value: int) -> None:
+        This is access() when new_value is None and update_value()
+        otherwise, so both find records through the same code. One frame:
+        ids are dense, so the rank is nid modulo group_size.
+        """
         if nid >= self._count:
+            if new_value is None:
+                return None
             raise ContractViolation(f"id {nid} has no record")
         buf = self._groups[nid >> self._shift]
-        pos = _skip_records(buf, 0, nid & (self._ell - 1))
+        rank = nid & (self._ell - 1)
+        pos = 0
+        while rank:
+            field = buf[pos]
+            if field < 0x80:
+                pos += field + 4 if field else 1
+            else:
+                field, used = vbyte_decode(buf, pos)
+                pos += used + field - 1 + 4
+            rank -= 1
         field = buf[pos]
-        used = 1
+        start = pos + 1
         if field >= 0x80:
             field, used = vbyte_decode(buf, pos)
+            start = pos + used
         if field == 0:
+            if new_value is None:
+                return _STEP
             raise ContractViolation("step records carry no value")
-        end = pos + used + field - 1
-        buf[end:end + 4] = value.to_bytes(4, "little")
+        end = start + field - 1
+        if new_value is None:
+            return _new(Payload, (bytes(buf[start:end]), int.from_bytes(buf[end:end + 4], "little")))
+        buf[end:end + 4] = new_value.to_bytes(4, "little")
+        return None
+
+    access = _record
+
+    def update_value(self, nid: int, value: int) -> None:
+        self._record(nid, value)
 
     def ensure_capacity(self, capacity: int) -> None:
         pass  # buckets extend on demand

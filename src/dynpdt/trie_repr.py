@@ -35,7 +35,7 @@ from .core import (
     CorruptionError,
     ResourceExhausted,
 )
-from .hashing import BijectiveTransform, scramble
+from .hashing import GOLDEN_GAMMA, _MIX1, _MIX2, _U64, BijectiveTransform, scramble
 
 _SMALL_ESCAPE = (1 << 4) - 1          # displacement >= 15 leaves the 4-bit array
 _MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # displacement >= 143 goes to the spill table
@@ -373,23 +373,33 @@ class PlainBonsaiTrie(_HashTrie):
         table.set(j, k)
         return j
 
-    def getchild(self, u: int, c: int) -> int | None:
-        slot = self._find_slot(u, c)
-        return slot
-
     def _find_slot(self, u: int, c: int) -> int | None:
+        # one frame: scramble() and IntVector.get are inlined
         k = (u << self._sym_bits) | c
+        z = (k + GOLDEN_GAMMA) & _U64
+        z = ((z ^ (z >> 30)) * _MIX1) & _U64
+        z = ((z ^ (z >> 27)) * _MIX2) & _U64
         mask = self._cap_mask
+        j = (z ^ (z >> 31)) & mask
         table = self._table
-        sent = self._sentinel
-        j = scramble(k) & mask
+        words = table._words
+        width = table.width
+        sent = self._sentinel  # also the entry mask
         while True:
-            h = table.get(j)
+            bit = j * width
+            w = bit >> 6
+            off = bit & 63
+            h = words[w] >> off
+            if off + width > 64:
+                h |= words[w + 1] << (64 - off)
+            h &= sent
             if h == k:
                 return j
             if h == sent:
                 return None
             j = (j + 1) & mask
+
+    getchild = _find_slot
 
     def _is_live(self, u: int) -> bool:
         return 0 <= u < self.capacity and self._table.get(u) != self._sentinel
@@ -531,25 +541,44 @@ class CompactBonsaiTrie(_HashTrie):
         self._disp.set(j, (j - i) & mask)
         return j
 
-    def getchild(self, u: int, c: int) -> int | None:
-        return self._find_slot(u, c)
-
     def _find_slot(self, u: int, c: int) -> int | None:
-        hv = self._tf.forward((u << self._sym_bits) | c)
+        # one frame: BijectiveTransform.forward and the occupancy, quotient
+        # and 4-bit displacement reads are inlined; only an escaped
+        # displacement goes through DisplacementStore.get
+        x = (u << self._sym_bits) | c
+        tf = self._tf
+        x ^= x >> tf._shift
+        hv = (x * tf._mult) & tf._mask
         mask = self._cap_mask
-        i = hv & mask
+        j = hv & mask
         q = hv >> self._cap_bits
-        occ = self._occ
+        occ = self._occ._words
         quot = self._quot
+        qwords = quot._words
+        width = quot.width
+        qmask = quot._mask
         disp = self._disp
-        j = i
+        nibbles = disp._base._words
+        esc = _SMALL_ESCAPE
         d = 0
-        while occ.get(j):
-            if quot.get(j) == q and disp.get(j) == d:
-                return j
+        while (occ[j >> 6] >> (j & 63)) & 1:
+            nib = (nibbles[j >> 4] >> ((j & 15) << 2)) & 15
+            # below the escape value the nibble is the displacement itself;
+            # at it, the displacement is some d >= 15 held in mid or spill
+            if nib == d or nib == esc <= d:
+                bit = j * width
+                w = bit >> 6
+                off = bit & 63
+                v = qwords[w] >> off
+                if off + width > 64:
+                    v |= qwords[w + 1] << (64 - off)
+                if v & qmask == q and (nib < esc or disp.get(j) == d):
+                    return j
             j = (j + 1) & mask
             d += 1
         return None
+
+    getchild = _find_slot
 
     def _is_live(self, u: int) -> bool:
         return 0 <= u < self.capacity and bool(self._occ.get(u))
@@ -697,8 +726,18 @@ class _DenseIdMixin:
         return nid
 
     def getchild(self, u: int, c: int) -> int | None:
-        slot = self._find_slot(u, c)
-        return None if slot is None else self._ids.get(slot)
+        j = self._find_slot(u, c)
+        if j is None:
+            return None
+        ids = self._ids  # IntVector.get, inlined
+        width = ids.width
+        bit = j * width
+        w = bit >> 6
+        off = bit & 63
+        v = ids._words[w] >> off
+        if off + width > 64:
+            v |= ids._words[w + 1] << (64 - off)
+        return v & ids._mask
 
     def _is_live(self, u: int) -> bool:
         return 0 <= u < self._next_id

@@ -201,19 +201,27 @@ def test_insertion_order_invariance(small_words):
         assert len(d) == len(small_words)
 
 
-def test_long_keys_take_step_hops():
-    # shared 150-byte prefix with offset limit 4 means dozens of hop nodes
+def test_long_keys_take_step_hops(combo):
+    # shared 150-byte prefix with offset limit 4 means dozens of hop nodes;
+    # the 154-byte root label needs a two-byte length field
     base = bytes(random.Random(3).choices(b"xy", k=150))
     k1 = base + b"left"
     k2 = base + b"right"
-    d = make(lam=4)
-    d.insert(k1, 1)
-    d.insert(k2, 2)
-    assert d.lookup(k1) == 1
-    assert d.lookup(k2) == 2
+    # mismatches on a multiple of the offset limit: k3 branches at offset 0
+    # after 37 hops from the root, k4 at offset 0 after one hop below k3
+    k3 = base[:148] + b"zabcdefgh"
+    k4 = base[:148] + b"zabcdXYZ"
+    keys = [k1, k2, k3, k4]
+    d = make(*combo, lam=4)
+    for i, k in enumerate(keys, 1):
+        assert d.insert(k, i) is True
+    for i, k in enumerate(keys, 1):
+        assert d.lookup(k) == i
+    for absent in (base, base[:148] + b"zabcd", k4 + b"!", base + b"lef"):
+        assert d.lookup(absent) is None
     steps = [nid for nid, p in d._nlm.iter_items() if p.value is None]
-    assert len(steps) == 150 // 4
-    assert sorted(d.items()) == sorted([(k1, 1), (k2, 2)])
+    assert len(steps) == 150 // 4 + 1
+    assert sorted(d.items()) == sorted(zip(keys, range(1, 5)))
 
 
 def test_mixed_ops_match_oracle(combo):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dynpdt.core import Config, NO_VALUE
+from dynpdt.core import Config, ContractViolation, NO_VALUE
 from dynpdt.nlm import (
     PlainLabelMap,
     SparseLabelMapBonsai,
@@ -69,6 +69,12 @@ def test_update_value_in_place():
         m.update_value(0, 77)
         got = m.access(0)
         assert (got.label, got.value) == (b"abc", 77)
+        m.associate_step(1)
+        with pytest.raises(ContractViolation):
+            m.update_value(1, 5)  # step records carry no value
+        with pytest.raises(ContractViolation):
+            m.update_value(2, 5)  # no record at all
+        assert m.access(0).value == 77 and m.access(1).value is None
 
 
 def test_group_packing_same_bucket():

@@ -71,6 +71,32 @@ def test_displacement_store_tiers():
     assert ds.spill_count == 2  # 143, 5000
 
 
+@pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
+def test_probe_through_displacement_tiers(repr_):
+    # ~200 keys sharing one home slot push displacements through all three
+    # tiers, so getchild must follow escaped nibbles into mid and spill
+    b = make_backend(cfg(repr_, capacity=1024))
+    tf = b._tf
+    home = 700
+    sym_bits = b._sym_bits
+    root_key = b._root_key  # the root's (0, code) key is already placed
+
+    def key_at(quot):
+        k = tf.inverse((quot << b._cap_bits) | home)
+        return k >> sym_bits, k & ((1 << sym_bits) - 1)
+
+    edges = [key_at(q) for q in range(1, 211)]
+    edges = [e for e in edges if e != (0, root_key)]
+    present, absent = edges[:200], edges[200:]
+    ids = {e: b.addchild(*e) for e in present}
+    assert b.growth_events == 0
+    assert b._disp.mid_count > 0 and b._disp.spill_count > 0
+    for e, nid in ids.items():
+        assert b.getchild(*e) == nid
+    for e in absent:
+        assert b.getchild(*e) is None
+
+
 # ---------------------------------------------------------------- fresh state
 
 
