@@ -106,8 +106,7 @@ class Config:
 
     offset_limit caps the offset component of edge codes (larger values mean
     fewer step nodes but a wider symbol space). group_size is the sparse
-    label map's bucket width. max_load is fixed; tables double when an
-    insert would push the fill ratio past it.
+    label map's bucket width.
     """
 
     trie_repr: str = "cbt"
@@ -115,8 +114,6 @@ class Config:
     offset_limit: int = 64
     group_size: int = 16
     initial_capacity: int = 1 << 16
-    max_load: float = 0.9
-    pbt_inplace_map: bool = False  # reuse freed table slots for the growth relocation map
 
     def __post_init__(self) -> None:
         if self.trie_repr not in REPRS:
@@ -131,8 +128,6 @@ class Config:
             raise ContractViolation("initial_capacity must be a power of two >= 16")
         if self.initial_capacity > MAX_CAPACITY:
             raise ContractViolation("initial_capacity exceeds the supported maximum")
-        if self.max_load != 0.9:
-            raise ContractViolation("max_load is fixed at 0.9")
 
     @property
     def step_code(self) -> int:

@@ -82,10 +82,6 @@ class BijectiveTransform:
         y = (y * self._mult_inv) & self._mask
         return y ^ (y >> self._shift)
 
-    def rescale(self, bits: int) -> "BijectiveTransform":
-        """Fresh transform over a different domain (used when tables double)."""
-        return BijectiveTransform(bits)
-
 
 def vbyte_encode(n: int) -> bytes:
     """Encode a non-negative integer, 7 data bits per byte, low group first.

@@ -148,8 +148,9 @@ class SparseLabelMapBonsai:
             chunk = self._bits.chunk(base, self._ell)
             before = (chunk & ((1 << (nid - base)) - 1)).bit_count()
             pos = _skip_records(buf, 0, before)
-            # splice by rebuilding: records never straddle bucket buffers
-            self._groups[g] = bytearray(b"".join((bytes(buf[:pos]), record, bytes(buf[pos:]))))
+            # a fresh exact-size buffer: an in-place insert would leave the
+            # bytearray over-allocated
+            self._groups[g] = buf[:pos] + record + buf[pos:]
         self._bits.set_true(nid)
 
     def associate(self, nid: int, label: bytes, value: int) -> None:

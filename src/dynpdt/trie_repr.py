@@ -6,17 +6,20 @@ interchangeable layouts implement the same contract:
 
 * ``pbt``  stores packed keys verbatim; node ids are slot indices.
 * ``cbt``  stores only the key's quotient under an invertible transform,
-  plus per-slot probe displacements kept in a three-tier side structure;
-  node ids are slot indices.
+  plus per-slot probe displacements kept in a three-tier side structure
+  (the m-Bonsai layout); node ids are slot indices.
 * ``pfkt`` / ``cfkt`` wrap the two layouts above with a dense id space:
   ids are assigned in creation order and survive growth unchanged.
 
-Slot-addressed ids are invalidated whenever the table doubles. Growth
-relocates nodes top-down in a single left-to-right scan: climb from each
-unmoved node to its nearest relocated ancestor, then walk back down
-re-adding one edge at a time. The relocation map (old id to new id) is
-handed to the ``on_grow`` callback so label storage can follow; dense-id
-layouts rehash slots directly and pass no map.
+All four grow through one routine, ``_HashTrie._grow``: it allocates an
+empty table of twice the capacity, refills it from the current one through
+the layout's own probe, placement and key-decoding hooks, and then swaps it
+in. Slot ids move when the table doubles, so the slot-id layouts refill by
+relocation: nodes are re-added top-down, parents before children, because
+a child's key holds its parent's new slot. The resulting map (old id to new
+id) is handed to the ``on_grow`` callback so label storage can follow.
+Dense ids do not move, so the dense-id layouts simply rehash every stored
+key in old-slot order and pass no map.
 
 Displacements for the compact layouts live in a 4-bit array whose top
 value escapes to an overflow table (quotiented, 7-bit values) and, past
@@ -290,7 +293,15 @@ class DisplacementStore:
 
 
 class _HashTrie:
-    """Shared shell: capacity bookkeeping, growth trigger, id plumbing."""
+    """Shared shell: capacity bookkeeping, growth, id plumbing.
+
+    Each layout supplies the storage hooks: ``_init_storage`` allocates an
+    empty table, ``_place(k)`` stores packed key k and returns its slot,
+    ``_find_slot(u, c)`` returns the slot holding edge (u, c) or None,
+    ``_slot_key(j)`` decodes the key stored at slot j, ``_used_slots()``
+    yields the occupied slots in increasing order, and ``_is_live(u)``
+    tells whether u names a node.
+    """
 
     family = "bonsai"
 
@@ -302,26 +313,26 @@ class _HashTrie:
         self.growth_events = 0
         self.node_count = 0
         self._init_storage(config.initial_capacity)
-        root_slot = self._place(0, self._root_key)
+        root_slot = self._place(self._root_key)
         self.node_count = 1
         self._claim_root(root_slot)
 
-    # storage hooks -------------------------------------------------
     def _init_storage(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._cap_bits = capacity.bit_length() - 1
-        self._cap_mask = capacity - 1
-        if self._cap_bits + self._sym_bits > 64:
+        cap_bits = capacity.bit_length() - 1
+        if cap_bits + self._sym_bits > 64:
             raise ResourceExhausted("packed keys would exceed 64 bits")
-
-    def _place(self, u: int, c: int) -> int:
-        raise NotImplementedError
+        self.capacity = capacity
+        self._cap_bits = cap_bits
+        self._cap_mask = capacity - 1
 
     def _claim_root(self, slot: int) -> None:
         self.root_id = slot
 
     def _claim_child(self, slot: int) -> int:
         return slot
+
+    def _slot_of(self, u: int) -> int:
+        return u
 
     # contract surface ----------------------------------------------
     def addchild(self, u: int, c: int) -> int:
@@ -335,12 +346,17 @@ class _HashTrie:
             remap = self._grow()
             if remap is not None:
                 u = remap[u]
-        slot = self._place(u, c)
+        slot = self._place((u << self._sym_bits) | c)
         self.node_count = n + 1
         return self._claim_child(slot)
 
-    def memory_bytes(self) -> int:
-        raise NotImplementedError
+    def getparent(self, u: int) -> int:
+        self._check_inner(u)
+        return self._slot_key(self._slot_of(u)) >> self._sym_bits
+
+    def getedge(self, u: int) -> int:
+        self._check_inner(u)
+        return self._slot_key(self._slot_of(u)) & (self._sym_space - 1)
 
     def _check_inner(self, u: int) -> None:
         if u == self.root_id:
@@ -348,13 +364,67 @@ class _HashTrie:
         if not self._is_live(u):
             raise ContractViolation(f"id {u} is not a live node")
 
+    # growth ----------------------------------------------------------
+    def _grow(self):
+        """Double the table and refill it; returns the id remap or None."""
+        capacity = 2 * self.capacity
+        if capacity > MAX_CAPACITY:
+            raise ResourceExhausted(f"table would exceed {MAX_CAPACITY} slots")
+        # build the doubled storage on a bare instance, then move it over
+        # attribute by attribute: reading self.__dict__ (as copy() would)
+        # makes CPython 3.11 take its slower lookup for self's attributes
+        new = object.__new__(type(self))
+        new._sym_bits = self._sym_bits
+        new._init_storage(capacity)
+        remap = self._refill(new)
+        for name, value in vars(new).items():
+            setattr(self, name, value)
+        self.growth_events += 1
+        if self.on_grow is not None:
+            self.on_grow(remap, capacity)
+        return remap
+
+    def _refill(self, new) -> dict[int, int]:
+        """Relocate every node top-down into new; returns {old id: new id}.
+
+        Scan the slots left to right. From each unmoved node, climb to its
+        nearest relocated ancestor recording edge codes, then walk back
+        down, finding each edge here and placing it in new under the
+        parent's new slot. The remap doubles as the relocated set.
+        """
+        zs = self._sym_bits
+        sym_mask = self._sym_space - 1
+        place = new._place
+        find = self._find_slot
+        slot_key = self._slot_key
+        new.root_id = place(self._root_key)
+        remap = {self.root_id: new.root_id}
+        moved = 0
+        for i in self._used_slots():
+            if i in remap:
+                continue
+            path = []
+            u = i
+            while u not in remap:
+                k = slot_key(u)
+                path.append(k & sym_mask)
+                u = k >> zs
+            nu = remap[u]
+            while path:
+                c = path.pop()
+                j = find(u, c)
+                if j is None:
+                    raise CorruptionError("edge vanished during relocation")
+                nu = remap[j] = place((nu << zs) | c)
+                u = j
+                moved += 1
+        if moved != self.node_count - 1:
+            raise CorruptionError("relocation did not visit every node exactly once")
+        return remap
+
 
 class PlainBonsaiTrie(_HashTrie):
     """Packed keys stored verbatim; ids are slots, remapped on growth."""
-
-    def __init__(self, config: Config, on_grow=None) -> None:
-        self._inplace_map = config.trie_repr == "pbt" and config.pbt_inplace_map
-        super().__init__(config, on_grow)
 
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)
@@ -362,13 +432,16 @@ class PlainBonsaiTrie(_HashTrie):
         self._table = IntVector(width, capacity, fill_ones=True)
         self._sentinel = (1 << width) - 1
 
-    def _place(self, u: int, c: int) -> int:
-        k = (u << self._sym_bits) | c
+    def _place(self, k: int) -> int:
+        z = (k + GOLDEN_GAMMA) & _U64  # scramble(), inlined
+        z = ((z ^ (z >> 30)) * _MIX1) & _U64
+        z = ((z ^ (z >> 27)) * _MIX2) & _U64
         mask = self._cap_mask
+        j = (z ^ (z >> 31)) & mask
         table = self._table
+        get = table.get
         sent = self._sentinel
-        j = scramble(k) & mask
-        while table.get(j) != sent:
+        while get(j) != sent:
             j = (j + 1) & mask
         table.set(j, k)
         return j
@@ -401,118 +474,16 @@ class PlainBonsaiTrie(_HashTrie):
 
     getchild = _find_slot
 
-    def _is_live(self, u: int) -> bool:
-        return 0 <= u < self.capacity and self._table.get(u) != self._sentinel
-
     def _slot_key(self, j: int) -> int:
         return self._table.get(j)
 
-    def getparent(self, u: int) -> int:
-        self._check_inner(u)
-        return self._parent_of_slot(u)
+    def _used_slots(self):
+        get = self._table.get
+        sent = self._sentinel
+        return (j for j in range(self.capacity) if get(j) != sent)
 
-    def getedge(self, u: int) -> int:
-        self._check_inner(u)
-        return self._slot_key(self._slot_of(u)) & (self._sym_space - 1)
-
-    def _parent_of_slot(self, u: int) -> int:
-        return self._slot_key(u) >> self._sym_bits
-
-    def _slot_of(self, u: int) -> int:
-        return u
-
-    def _grow(self):
-        """Relocate every node into a doubled table; returns the id remap.
-
-        Single scan: climb from each unmoved node to its nearest relocated
-        ancestor recording edge codes, then walk back down re-adding the
-        edges. A bitmap marks relocated slots; their new ids live either in
-        a side array or, when configured, in the vacated key slots
-        themselves (new ids are far below the vacancy sentinel, so probe
-        runs over vacated slots still terminate correctly).
-        """
-        old_m = self.capacity
-        new_m = old_m * 2
-        if new_m > MAX_CAPACITY:
-            raise ResourceExhausted(f"table would exceed {MAX_CAPACITY} slots")
-        old_table = self._table
-        old_sent = self._sentinel
-        old_mask = self._cap_mask
-        old_root = self.root_id
-        zs = self._sym_bits
-        sym_mask = self._sym_space - 1
-        inplace = self._inplace_map
-
-        new_width = new_m.bit_length() - 1 + zs
-        if new_width > 64:
-            raise ResourceExhausted("packed keys would exceed 64 bits")
-        new_table = IntVector(new_width, new_m, fill_ones=True)
-        new_sent = (1 << new_width) - 1
-        new_mask = new_m - 1
-
-        t = scramble(self._root_key) & new_mask
-        new_table.set(t, self._root_key)
-        new_root = t
-
-        done = BitVector(old_m)
-        side = None if inplace else IntVector(new_m.bit_length() - 1, old_m)
-        done.set_true(old_root)
-        if inplace:
-            old_table.set(old_root, new_root)
-        else:
-            side.set(old_root, new_root)
-
-        moved = 0
-        for i0 in range(old_m):
-            if done.get(i0) or old_table.get(i0) == old_sent:
-                continue
-            path = []
-            u = i0
-            while not done.get(u):
-                k = old_table.get(u)
-                path.append(k & sym_mask)
-                u = k >> zs
-            nu = old_table.get(u) if inplace else side.get(u)
-            while path:
-                c = path.pop()
-                ku = (u << zs) | c
-                j = scramble(ku) & old_mask
-                while True:
-                    h = old_table.get(j)
-                    if h == ku and not (inplace and done.get(j)):
-                        break
-                    if h == old_sent:
-                        raise CorruptionError("edge vanished during relocation")
-                    j = (j + 1) & old_mask
-                kn = (nu << zs) | c
-                t = scramble(kn) & new_mask
-                while new_table.get(t) != new_sent:
-                    t = (t + 1) & new_mask
-                new_table.set(t, kn)
-                done.set_true(j)
-                if inplace:
-                    old_table.set(j, t)
-                else:
-                    side.set(j, t)
-                moved += 1
-                u = j
-                nu = t
-        if moved != self.node_count - 1:
-            raise CorruptionError("relocation did not visit every node exactly once")
-
-        if inplace:
-            remap = {o: old_table.get(o) for o in done.iter_set()}
-        else:
-            remap = {o: side.get(o) for o in done.iter_set()}
-
-        super()._init_storage(new_m)
-        self._table = new_table
-        self._sentinel = new_sent
-        self.root_id = new_root
-        self.growth_events += 1
-        if self.on_grow is not None:
-            self.on_grow(remap, new_m)
-        return remap
+    def _is_live(self, u: int) -> bool:
+        return 0 <= u < self.capacity and self._table.get(u) != self._sentinel
 
     def memory_bytes(self) -> int:
         return self._table.allocated_bytes
@@ -528,16 +499,18 @@ class CompactBonsaiTrie(_HashTrie):
         self._occ = BitVector(capacity)
         self._disp = DisplacementStore(capacity, self._cap_bits)
 
-    def _place(self, u: int, c: int) -> int:
-        hv = self._tf.forward((u << self._sym_bits) | c)
+    def _place(self, k: int) -> int:
+        tf = self._tf  # forward() and the occupancy reads are inlined
+        k ^= k >> tf._shift
+        hv = (k * tf._mult) & tf._mask
         mask = self._cap_mask
         i = hv & mask
-        occ = self._occ
+        occ = self._occ._words
         j = i
-        while occ.get(j):
+        while (occ[j >> 6] >> (j & 63)) & 1:
             j = (j + 1) & mask
+        occ[j >> 6] |= 1 << (j & 63)
         self._quot.set(j, hv >> self._cap_bits)
-        occ.set_true(j)
         self._disp.set(j, (j - i) & mask)
         return j
 
@@ -580,117 +553,15 @@ class CompactBonsaiTrie(_HashTrie):
 
     getchild = _find_slot
 
-    def _is_live(self, u: int) -> bool:
-        return 0 <= u < self.capacity and bool(self._occ.get(u))
-
     def _slot_key(self, j: int) -> int:
         i = (j - self._disp.get(j)) & self._cap_mask
         return self._tf.inverse((self._quot.get(j) << self._cap_bits) | i)
 
-    def getparent(self, u: int) -> int:
-        self._check_inner(u)
-        return self._slot_key(self._slot_of(u)) >> self._sym_bits
+    def _used_slots(self):
+        return self._occ.iter_set()
 
-    def getedge(self, u: int) -> int:
-        self._check_inner(u)
-        return self._slot_key(self._slot_of(u)) & (self._sym_space - 1)
-
-    def _slot_of(self, u: int) -> int:
-        return u
-
-    def _grow(self):
-        old_m = self.capacity
-        new_m = old_m * 2
-        if new_m > MAX_CAPACITY:
-            raise ResourceExhausted(f"table would exceed {MAX_CAPACITY} slots")
-        old_tf = self._tf
-        old_quot = self._quot
-        old_occ = self._occ
-        old_disp = self._disp
-        old_mask = self._cap_mask
-        old_cap_bits = self._cap_bits
-        old_root = self.root_id
-        zs = self._sym_bits
-        sym_mask = self._sym_space - 1
-
-        new_cap_bits = new_m.bit_length() - 1
-        if new_cap_bits + zs > 64:
-            raise ResourceExhausted("packed keys would exceed 64 bits")
-        new_tf = old_tf.rescale(new_cap_bits + zs)
-        new_quot = IntVector(zs, new_m)
-        new_occ = BitVector(new_m)
-        new_disp = DisplacementStore(new_m, new_cap_bits)
-        new_mask = new_m - 1
-
-        def old_key(j: int) -> int:
-            i = (j - old_disp.get(j)) & old_mask
-            return old_tf.inverse((old_quot.get(j) << old_cap_bits) | i)
-
-        def old_child(u: int, c: int) -> int:
-            hv = old_tf.forward((u << zs) | c)
-            i = hv & old_mask
-            q = hv >> old_cap_bits
-            j = i
-            d = 0
-            while old_occ.get(j):
-                if old_quot.get(j) == q and old_disp.get(j) == d:
-                    return j
-                j = (j + 1) & old_mask
-                d += 1
-            raise CorruptionError("edge vanished during relocation")
-
-        def new_place(u: int, c: int) -> int:
-            hv = new_tf.forward((u << zs) | c)
-            i = hv & new_mask
-            j = i
-            while new_occ.get(j):
-                j = (j + 1) & new_mask
-            new_quot.set(j, hv >> new_cap_bits)
-            new_occ.set_true(j)
-            new_disp.set(j, (j - i) & new_mask)
-            return j
-
-        new_root = new_place(0, self._root_key)
-        done = BitVector(old_m)
-        side = IntVector(new_cap_bits, old_m)
-        done.set_true(old_root)
-        side.set(old_root, new_root)
-
-        moved = 0
-        for i0 in range(old_m):
-            if done.get(i0) or not old_occ.get(i0):
-                continue
-            path = []
-            u = i0
-            while not done.get(u):
-                k = old_key(u)
-                path.append(k & sym_mask)
-                u = k >> zs
-            nu = side.get(u)
-            while path:
-                c = path.pop()
-                j = old_child(u, c)
-                t = new_place(nu, c)
-                done.set_true(j)
-                side.set(j, t)
-                moved += 1
-                u = j
-                nu = t
-        if moved != self.node_count - 1:
-            raise CorruptionError("relocation did not visit every node exactly once")
-
-        remap = {o: side.get(o) for o in done.iter_set()}
-
-        _HashTrie._init_storage(self, new_m)
-        self._tf = new_tf
-        self._quot = new_quot
-        self._occ = new_occ
-        self._disp = new_disp
-        self.root_id = new_root
-        self.growth_events += 1
-        if self.on_grow is not None:
-            self.on_grow(remap, new_m)
-        return remap
+    def _is_live(self, u: int) -> bool:
+        return 0 <= u < self.capacity and bool(self._occ.get(u))
 
     def memory_bytes(self) -> int:
         return (self._quot.allocated_bytes + self._occ.allocated_bytes +
@@ -706,13 +577,13 @@ class _DenseIdMixin:
 
     family = "fk"
 
-    def _init_ids(self, capacity: int) -> None:
+    def _init_storage(self, capacity: int) -> None:
+        super()._init_storage(capacity)
         width = max(1, capacity.bit_length() - 1)
         self._ids = IntVector(width, capacity)
         self._slots = IntVector(width, capacity)
 
     def _claim_root(self, slot: int) -> None:
-        self._init_ids(self.capacity)
         self._ids.set(slot, 0)
         self._slots.set(0, slot)
         self._next_id = 1
@@ -739,118 +610,37 @@ class _DenseIdMixin:
             v |= ids._words[w + 1] << (64 - off)
         return v & ids._mask
 
-    def _is_live(self, u: int) -> bool:
-        return 0 <= u < self._next_id
-
     def _slot_of(self, u: int) -> int:
         return self._slots.get(u)
 
-    def getparent(self, u: int) -> int:
-        self._check_inner(u)
-        return self._slot_key(self._slots.get(u)) >> self._sym_bits
+    def _is_live(self, u: int) -> bool:
+        return 0 <= u < self._next_id
 
-    def _ids_memory(self) -> int:
-        return self._ids.allocated_bytes + self._slots.allocated_bytes
+    def _refill(self, new) -> None:
+        """Rehash every key into new in slot order; ids stay, so no remap."""
+        place = new._place
+        slot_key = self._slot_key
+        old_ids = self._ids.get
+        ids = new._ids.set
+        slots = new._slots.set
+        for j in self._used_slots():
+            t = place(slot_key(j))
+            nid = old_ids(j)
+            ids(t, nid)
+            slots(nid, t)
+        return None
+
+    def memory_bytes(self) -> int:
+        return (super().memory_bytes() + self._ids.allocated_bytes +
+                self._slots.allocated_bytes)
 
 
 class PlainFKTrie(_DenseIdMixin, PlainBonsaiTrie):
     """Verbatim key table plus growth-stable dense node ids."""
 
-    def _grow(self):
-        old_m = self.capacity
-        new_m = old_m * 2
-        if new_m > MAX_CAPACITY:
-            raise ResourceExhausted(f"table would exceed {MAX_CAPACITY} slots")
-        old_table = self._table
-        old_sent = self._sentinel
-        old_ids = self._ids
-
-        new_width = new_m.bit_length() - 1 + self._sym_bits
-        if new_width > 64:
-            raise ResourceExhausted("packed keys would exceed 64 bits")
-        new_table = IntVector(new_width, new_m, fill_ones=True)
-        new_sent = (1 << new_width) - 1
-        new_mask = new_m - 1
-
-        _HashTrie._init_storage(self, new_m)
-        self._init_ids(new_m)
-        for j in range(old_m):
-            k = old_table.get(j)
-            if k == old_sent:
-                continue
-            t = scramble(k) & new_mask
-            while new_table.get(t) != new_sent:
-                t = (t + 1) & new_mask
-            new_table.set(t, k)
-            nid = old_ids.get(j)
-            self._ids.set(t, nid)
-            self._slots.set(nid, t)
-        self._table = new_table
-        self._sentinel = new_sent
-        self.growth_events += 1
-        if self.on_grow is not None:
-            self.on_grow(None, new_m)
-        return None
-
-    def memory_bytes(self) -> int:
-        return self._table.allocated_bytes + self._ids_memory()
-
 
 class CompactFKTrie(_DenseIdMixin, CompactBonsaiTrie):
     """Quotiented key table plus growth-stable dense node ids."""
-
-    def _grow(self):
-        old_m = self.capacity
-        new_m = old_m * 2
-        if new_m > MAX_CAPACITY:
-            raise ResourceExhausted(f"table would exceed {MAX_CAPACITY} slots")
-        old_tf = self._tf
-        old_quot = self._quot
-        old_occ = self._occ
-        old_disp = self._disp
-        old_mask = self._cap_mask
-        old_cap_bits = self._cap_bits
-        old_ids = self._ids
-
-        new_cap_bits = new_m.bit_length() - 1
-        if new_cap_bits + self._sym_bits > 64:
-            raise ResourceExhausted("packed keys would exceed 64 bits")
-        new_tf = old_tf.rescale(new_cap_bits + self._sym_bits)
-        new_quot = IntVector(self._sym_bits, new_m)
-        new_occ = BitVector(new_m)
-        new_disp = DisplacementStore(new_m, new_cap_bits)
-        new_mask = new_m - 1
-
-        _HashTrie._init_storage(self, new_m)
-        self._init_ids(new_m)
-        for j in range(old_m):
-            if not old_occ.get(j):
-                continue
-            i = (j - old_disp.get(j)) & old_mask
-            k = old_tf.inverse((old_quot.get(j) << old_cap_bits) | i)
-            hv = new_tf.forward(k)
-            i2 = hv & new_mask
-            t = i2
-            while new_occ.get(t):
-                t = (t + 1) & new_mask
-            new_quot.set(t, hv >> new_cap_bits)
-            new_occ.set_true(t)
-            new_disp.set(t, (t - i2) & new_mask)
-            nid = old_ids.get(j)
-            self._ids.set(t, nid)
-            self._slots.set(nid, t)
-        self._tf = new_tf
-        self._quot = new_quot
-        self._occ = new_occ
-        self._disp = new_disp
-        self.growth_events += 1
-        if self.on_grow is not None:
-            self.on_grow(None, new_m)
-        return None
-
-    def memory_bytes(self) -> int:
-        return (self._quot.allocated_bytes + self._occ.allocated_bytes +
-                self._disp.memory_bytes() + self._ids_memory())
 
 
 _BACKENDS = {

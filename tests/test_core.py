@@ -65,7 +65,6 @@ def test_config_defaults_and_derived():
     assert cfg.step_code == 256 * 64
     assert cfg.symbol_space == 512 * 64  # power of two, one spare half
     assert cfg.symbol_space == 1 << cfg.symbol_bits
-    assert cfg.max_load == 0.9
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -76,7 +75,6 @@ def test_config_defaults_and_derived():
     {"group_size": 12},
     {"initial_capacity": 100},
     {"initial_capacity": 8},
-    {"max_load": 0.5},         # fixed by the growth algebra
 ])
 def test_config_rejects(kwargs):
     with pytest.raises((ContractViolation, ValueError)):

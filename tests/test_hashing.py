@@ -83,14 +83,6 @@ def test_transform_round_trip_wide():
         assert tf.inverse(y) == x
 
 
-def test_transform_rescale_fresh_width():
-    tf = BijectiveTransform(16)
-    wider = tf.rescale(20)
-    assert wider.bits == 20
-    for x in (0, 1, 65535, 2**20 - 1):
-        assert wider.inverse(wider.forward(x)) == x
-
-
 def test_transform_fixes_zero():
     # x=0 survives both the xor-shift and the odd multiply
     for bits in (4, 16, 48):

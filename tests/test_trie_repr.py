@@ -203,40 +203,35 @@ def test_fk_ids_survive_growth():
         assert b.getchild(b.root_id, code) == nid
 
 
-def test_pbt_inplace_map_equivalent():
-    rng = random.Random(9)
-    plan = []  # (parent index, code), every entry creates a node
-    seen = set()
-    count = 1
-    while len(plan) < 300:
-        step = (rng.randrange(count), rng.randrange(1025))
-        if step in seen:
-            continue
-        seen.add(step)
-        plan.append(step)
-        count += 1
-    tables = []
-    for inplace in (False, True):
-        ids = []
-
-        def follow(remap, new_cap, ids=ids):
-            ids[:] = [remap[u] for u in ids]
-
-        b = make_backend(cfg("pbt", pbt_inplace_map=inplace), on_grow=follow)
-        ids.append(b.root_id)
-        for parent_idx, code in plan:
-            ids.append(b.addchild(ids[parent_idx], code))
-        tables.append((b.node_count, b.capacity, ids, bytes(b._table._words)))
-    assert tables[0] == tables[1]
-
-
-def test_growth_capacity_ceiling(monkeypatch):
+@pytest.mark.parametrize("repr_", REPRS)
+def test_growth_capacity_ceiling(repr_, monkeypatch):
+    # a refused doubling changes nothing, whether it would pass MAX_CAPACITY
+    # (set to 32 here) or need packed keys wider than 64 bits (55 symbol
+    # bits leave room for 512 slots, not 1024)
     import dynpdt.trie_repr as tr
-    monkeypatch.setattr(tr, "MAX_CAPACITY", 32)
-    b = make_backend(cfg("pbt"))
-    with pytest.raises(ResourceExhausted):
-        for code in range(1, 64):
-            b.addchild(b.root_id, code)
+    wide = Config(trie_repr=repr_, offset_limit=1 << 46, initial_capacity=16)
+    for ceiling, config, fanout, full in ((32, cfg(repr_), 28, 32),
+                                          (tr.MAX_CAPACITY, wide, 460, 512)):
+        monkeypatch.setattr(tr, "MAX_CAPACITY", ceiling)
+        children = {}
+
+        def follow(remap, new_cap, children=children):
+            if remap is not None:
+                for code, nid in children.items():
+                    children[code] = remap[nid]
+
+        b = make_backend(config, on_grow=follow)
+        for code in range(1, fanout):
+            children[code] = b.addchild(b.root_id, code)
+        before = (b.capacity, b.node_count, b.growth_events)
+        assert b.capacity == full
+        for _ in range(2):
+            with pytest.raises(ResourceExhausted):
+                b.addchild(b.root_id, fanout)
+            assert (b.capacity, b.node_count, b.growth_events) == before
+        for code, nid in children.items():
+            assert b.getchild(b.root_id, code) == nid
+            assert b.getparent(nid) == b.root_id
 
 
 # ---------------------------------------------------------------- differential
