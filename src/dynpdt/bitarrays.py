@@ -74,12 +74,6 @@ class BitVector:
     def set_true(self, i: int) -> None:
         self._words[i >> 6] |= 1 << (i & 63)
 
-    def set(self, i: int, flag: bool) -> None:
-        if flag:
-            self._words[i >> 6] |= 1 << (i & 63)
-        else:
-            self._words[i >> 6] &= ~(1 << (i & 63)) & 0xFFFFFFFFFFFFFFFF
-
     def chunk(self, start: int, nbits: int) -> int:
         """Read nbits starting at start; must not straddle a word boundary."""
         return (self._words[start >> 6] >> (start & 63)) & ((1 << nbits) - 1)

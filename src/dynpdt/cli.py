@@ -62,18 +62,20 @@ def _config(args) -> Config:
     )
 
 
-def _build(keys: list[bytes], config: Config) -> tuple[Dictionary, int, int]:
-    d = Dictionary(config)
+def _load_and_build(args) -> tuple[list[bytes], Dictionary, dict]:
+    """Load, optionally shuffle and build the corpus; start its report."""
+    keys, counts = load_corpus(args.corpus, args.dedupe)
+    if not keys:
+        raise EmptyCorpus(f"{args.corpus} holds no usable lines")
+    if args.seed is not None:
+        shuffle_keys(keys, args.seed)
+    d = Dictionary(_config(args))
     inserted = 0
     t0 = time.perf_counter_ns()
     for idx, key in enumerate(keys):
         if d.insert(key, idx):
             inserted += 1
     elapsed = time.perf_counter_ns() - t0
-    return d, inserted, elapsed
-
-
-def _base_report(args, keys: list[bytes], counts: dict) -> dict:
     rep = {
         "command": args.command,
         "corpus": str(args.corpus),
@@ -84,33 +86,21 @@ def _base_report(args, keys: list[bytes], counts: dict) -> dict:
         "group_size": args.ell,
         "initial_capacity": args.capacity,
         "seed": args.seed,
-    }
-    rep.update(counts)
-    return rep
-
-
-def _built_report(rep: dict, d: Dictionary, inserted: int, elapsed: int, n: int) -> None:
-    rep.update({
+        **counts,
         "n_unique": inserted,
-        "build_ns_per_key": elapsed // n,
+        "build_ns_per_key": elapsed // len(keys),
         "node_count": d.node_count,
         "capacity": d.capacity,
         "load_factor": round(d.node_count / d.capacity, 4),
         "growth_events": d.growth_events,
         "memory_bytes": d.memory_bytes(),
         "bytes_per_key": round(d.memory_bytes() / inserted, 2),
-    })
+    }
+    return keys, d, rep
 
 
 def run_build(args) -> tuple[dict, int]:
-    keys, counts = load_corpus(args.corpus, args.dedupe)
-    if not keys:
-        raise EmptyCorpus(f"{args.corpus} holds no usable lines")
-    if args.seed is not None:
-        shuffle_keys(keys, args.seed)
-    d, inserted, elapsed = _build(keys, _config(args))
-    rep = _base_report(args, keys, counts)
-    _built_report(rep, d, inserted, elapsed, len(keys))
+    keys, d, rep = _load_and_build(args)
     expected: dict[bytes, int] = {}
     for idx, key in enumerate(keys):
         expected.setdefault(key, idx)
@@ -132,14 +122,7 @@ def _unused_byte(keys: list[bytes]) -> int | None:
 
 
 def run_bench(args) -> tuple[dict, int]:
-    keys, counts = load_corpus(args.corpus, args.dedupe)
-    if not keys:
-        raise EmptyCorpus(f"{args.corpus} holds no usable lines")
-    if args.seed is not None:
-        shuffle_keys(keys, args.seed)
-    d, inserted, elapsed = _build(keys, _config(args))
-    rep = _base_report(args, keys, counts)
-    _built_report(rep, d, inserted, elapsed, len(keys))
+    keys, d, rep = _load_and_build(args)
 
     sample = keys[:min(args.queries, len(keys))]
     ub = _unused_byte(keys)
@@ -181,14 +164,7 @@ def run_bench(args) -> tuple[dict, int]:
 
 
 def run_stats(args) -> tuple[dict, int]:
-    keys, counts = load_corpus(args.corpus, args.dedupe)
-    if not keys:
-        raise EmptyCorpus(f"{args.corpus} holds no usable lines")
-    if args.seed is not None:
-        shuffle_keys(keys, args.seed)
-    d, inserted, elapsed = _build(keys, _config(args))
-    rep = _base_report(args, keys, counts)
-    _built_report(rep, d, inserted, elapsed, len(keys))
+    _, d, rep = _load_and_build(args)
     st = shape_stats(d)
     rep.update({
         "step_count": st.step_count,

@@ -68,34 +68,6 @@ def validate_keyword(raw) -> bytes:
     return raw + b"\x00"
 
 
-def encode_symbol(char: int | None, offset: int, offset_limit: int) -> int:
-    """Pack a branching byte and label offset into one edge code.
-
-    ``char=None`` encodes the step marker; its offset must be 0. Regular
-    codes order lexicographically by (byte, offset) and the marker sorts
-    above all of them.
-    """
-    if char is None:
-        if offset != 0:
-            raise ContractViolation("step marker carries no offset")
-        return 256 * offset_limit
-    if not 0 <= char <= 0xFF:
-        raise ContractViolation(f"branching byte out of range: {char}")
-    if not 0 <= offset < offset_limit:
-        raise ContractViolation(f"offset {offset} outside [0, {offset_limit})")
-    return char * offset_limit + offset
-
-
-def decode_symbol(code: int, offset_limit: int) -> tuple[int | None, int]:
-    """Inverse of encode_symbol. The step marker decodes to (None, 0)."""
-    step = 256 * offset_limit
-    if code == step:
-        return None, 0
-    if not 0 <= code < step:
-        raise CorruptionError(f"edge code {code} outside the encodable range")
-    return divmod(code, offset_limit)
-
-
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 

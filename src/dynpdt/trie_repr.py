@@ -22,13 +22,12 @@ Dense ids do not move, so the dense-id layouts simply rehash every stored
 key in old-slot order and pass no map.
 
 Displacements for the compact layouts live in a 4-bit array whose top
-value escapes to an overflow table (quotiented, 7-bit values) and, past
-that, to a plain spill table holding full-width entries.
+value escapes to one of two small linear-probing tables keyed by slot: a
+mid table holding 7-bit values for displacements 15-142 and a spill table
+holding full-width values past that.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .bitarrays import BitVector, IntVector
 from .core import (
@@ -44,157 +43,8 @@ _SMALL_ESCAPE = (1 << 4) - 1          # displacement >= 15 leaves the 4-bit arra
 _MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # displacement >= 143 goes to the spill table
 
 
-class QuotientTable:
-    """Closed hash map keyed by [0, 2**key_bits) storing small values.
-
-    Keys are passed through an invertible transform; the low bits address a
-    slot and only the high bits (the quotient) are stored. Entries sharing a
-    home address form one contiguous group, groups within a probe cluster
-    appear in home-address order, and three bit arrays (home occupied, group
-    continuation, element shifted) recover each element's home address
-    without storing it.
-    """
-
-    __slots__ = ("_key_bits", "_tf", "_cap", "_cap_bits", "_cap_mask",
-                 "_quot", "_vals", "_val_bits", "_occ", "_cont", "_shift", "_count")
-
-    def __init__(self, key_bits: int, capacity: int, val_bits: int = 7) -> None:
-        self._key_bits = key_bits
-        self._val_bits = val_bits
-        self._tf = BijectiveTransform(key_bits)
-        self._init_storage(capacity)
-
-    def _init_storage(self, capacity: int) -> None:
-        self._cap = capacity
-        self._cap_bits = capacity.bit_length() - 1
-        self._cap_mask = capacity - 1
-        self._quot = IntVector(max(1, self._key_bits - self._cap_bits), capacity)
-        self._vals = IntVector(self._val_bits, capacity)
-        self._occ = BitVector(capacity)
-        self._cont = BitVector(capacity)
-        self._shift = BitVector(capacity)
-        self._count = 0
-
-    def _group_start(self, q: int) -> int:
-        # walk left to the cluster start, then replay group boundaries and
-        # occupied home addresses in lockstep until q's group is reached
-        mask = self._cap_mask
-        shift = self._shift
-        cont = self._cont
-        occ = self._occ
-        b = q
-        while shift.get(b):
-            b = (b - 1) & mask
-        s = b
-        while b != q:
-            s = (s + 1) & mask
-            while cont.get(s):
-                s = (s + 1) & mask
-            b = (b + 1) & mask
-            while not occ.get(b):
-                b = (b + 1) & mask
-        return s
-
-    def insert(self, key: int, value: int) -> None:
-        """Add a key that is not already present."""
-        if 10 * (self._count + 1) > 9 * self._cap:
-            self._grow()
-        hv = self._tf.forward(key)
-        q = hv & self._cap_mask
-        rem = hv >> self._cap_bits
-        occ = self._occ
-        shift = self._shift
-        if not occ.get(q) and not shift.get(q):
-            self._quot.set(q, rem)
-            self._vals.set(q, value)
-            occ.set_true(q)
-            self._count += 1
-            return
-        had_group = bool(occ.get(q))
-        occ.set_true(q)
-        s = self._group_start(q)
-        mask = self._cap_mask
-        e = s
-        while occ.get(e) or shift.get(e):
-            e = (e + 1) & mask
-        quot = self._quot
-        vals = self._vals
-        cont = self._cont
-        j = e
-        while j != s:
-            p = (j - 1) & mask
-            quot.set(j, quot.get(p))
-            vals.set(j, vals.get(p))
-            cont.set(j, cont.get(p))
-            shift.set_true(j)
-            j = p
-        quot.set(s, rem)
-        vals.set(s, value)
-        if had_group:
-            cont.set_true((s + 1) & mask)  # displaced old group head
-        cont.set(s, False)
-        shift.set(s, s != q)
-        self._count += 1
-
-    def get(self, key: int) -> int | None:
-        hv = self._tf.forward(key)
-        q = hv & self._cap_mask
-        if not self._occ.get(q):
-            return None
-        rem = hv >> self._cap_bits
-        s = self._group_start(q)
-        quot = self._quot
-        cont = self._cont
-        mask = self._cap_mask
-        while True:
-            if quot.get(s) == rem:
-                return self._vals.get(s)
-            s = (s + 1) & mask
-            if not cont.get(s):
-                return None
-
-    def items(self):
-        """Decode all (key, value) pairs by replaying clusters."""
-        if self._count == 0:
-            return
-        occ = self._occ
-        shift = self._shift
-        cont = self._cont
-        mask = self._cap_mask
-        start = 0
-        while occ.get(start) or shift.get(start):
-            start += 1
-        pending: deque[int] = deque()
-        for off in range(1, self._cap + 1):
-            j = (start + off) & mask
-            if occ.get(j):
-                pending.append(j)
-            if not (occ.get(j) or shift.get(j)):
-                if pending:
-                    raise CorruptionError("group bookkeeping out of sync")
-                continue
-            if not cont.get(j):
-                home = pending.popleft()
-            hv = (self._quot.get(j) << self._cap_bits) | home
-            yield self._tf.inverse(hv), self._vals.get(j)
-
-    def _grow(self) -> None:
-        pairs = list(self.items())
-        self._init_storage(self._cap * 2)
-        for key, value in pairs:
-            self.insert(key, value)
-
-    def __len__(self) -> int:
-        return self._count
-
-    def memory_bytes(self) -> int:
-        return (self._quot.allocated_bytes + self._vals.allocated_bytes +
-                self._occ.allocated_bytes + self._cont.allocated_bytes +
-                self._shift.allocated_bytes)
-
-
 class SpillTable:
-    """Plain closed hash map for the rare full-width displacement entries."""
+    """Plain closed hash map from slot ids to the rare escaped displacements."""
 
     __slots__ = ("_cap", "_count", "_keys", "_vals", "_used", "_key_bits", "_val_bits")
 
@@ -254,7 +104,7 @@ class DisplacementStore:
 
     def __init__(self, capacity: int, key_bits: int) -> None:
         self._base = IntVector(4, capacity)
-        self._mid = QuotientTable(key_bits, min(1 << 12, capacity))
+        self._mid = SpillTable(key_bits, 7, 1 << 6)
         self._spill = SpillTable(key_bits, key_bits, 1 << 6)
 
     def get(self, j: int) -> int:

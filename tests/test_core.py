@@ -3,11 +3,8 @@ import pytest
 from dynpdt.core import (
     Config,
     ContractViolation,
-    CorruptionError,
     InvalidKeyword,
     NO_VALUE,
-    decode_symbol,
-    encode_symbol,
     validate_keyword,
 )
 
@@ -23,39 +20,6 @@ def test_validate_appends_terminator():
 def test_validate_rejects(bad):
     with pytest.raises(InvalidKeyword):
         validate_keyword(bad)
-
-
-def test_symbol_round_trip():
-    lam = 16
-    for char in (0, 1, 65, 255):
-        for off in (0, 1, lam - 1):
-            code = encode_symbol(char, off, lam)
-            assert code == char * lam + off
-            assert decode_symbol(code, lam) == (char, off)
-
-
-def test_step_marker_encoding():
-    lam = 64
-    step = encode_symbol(None, 0, lam)
-    assert step == 256 * lam
-    assert decode_symbol(step, lam) == (None, 0)
-    # the marker sorts above every regular code
-    assert step > encode_symbol(255, lam - 1, lam)
-    with pytest.raises(ContractViolation):
-        encode_symbol(None, 1, lam)
-
-
-def test_symbol_range_checks():
-    with pytest.raises(ContractViolation):
-        encode_symbol(256, 0, 8)
-    with pytest.raises(ContractViolation):
-        encode_symbol(-1, 0, 8)
-    with pytest.raises(ContractViolation):
-        encode_symbol(10, 8, 8)
-    with pytest.raises(CorruptionError):
-        decode_symbol(256 * 8 + 1, 8)
-    with pytest.raises(CorruptionError):
-        decode_symbol(-1, 8)
 
 
 def test_config_defaults_and_derived():

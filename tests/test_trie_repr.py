@@ -5,8 +5,9 @@ import pytest
 from dynpdt.core import REPRS, Config, ContractViolation, ResourceExhausted
 from dynpdt.hashing import scramble
 from dynpdt.trie_repr import (
+    _MID_LIMIT,
+    _SMALL_ESCAPE,
     DisplacementStore,
-    QuotientTable,
     SpillTable,
     make_backend,
 )
@@ -20,33 +21,26 @@ def cfg(repr_, capacity=16, lam=4, **kw):
 # ---------------------------------------------------------------- tables
 
 
-def test_quotient_table_differential():
+def test_spill_table_differential():
+    # the mid tier's shape: 7-bit values, 64 starting slots, grown under load
     rng = random.Random(1)
-    qt = QuotientTable(key_bits=10, capacity=16)
+    st = SpillTable(key_bits=10, val_bits=7, capacity=1 << 6)
     model = {}
     keys = list(range(1 << 10))
     rng.shuffle(keys)
     for key in keys[:900]:
         value = rng.randrange(128)
-        qt.insert(key, value)
+        st.insert(key, value)
         model[key] = value
         if len(model) % 97 == 0:
             probe = rng.randrange(1 << 10)
-            assert qt.get(probe) == model.get(probe)
-    assert len(qt) == 900
+            assert st.get(probe) == model.get(probe)
+    assert len(st) == 900
+    assert st._cap >= 1024  # started at 64, load cap forces doublings
     for key in keys[:900]:
-        assert qt.get(key) == model[key]
+        assert st.get(key) == model[key]
     for key in keys[900:]:
-        assert qt.get(key) is None
-    assert dict(qt.items()) == model
-
-
-def test_quotient_table_grows_under_load():
-    qt = QuotientTable(key_bits=12, capacity=16)
-    for key in range(600):
-        qt.insert(key, key % 128)
-    assert qt._cap >= 1024  # started at 16, load cap forces doublings
-    assert all(qt.get(k) == k % 128 for k in range(600))
+        assert st.get(key) is None
 
 
 def test_spill_table_roundtrip_and_duplicate():
@@ -95,6 +89,38 @@ def test_probe_through_displacement_tiers(repr_):
         assert b.getchild(*e) == nid
     for e in absent:
         assert b.getchild(*e) is None
+
+
+@pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
+def test_displacement_tiers_after_doublings(repr_):
+    # every doubling rebuilds the overflow tables; afterwards each escaped
+    # nibble must have exactly one entry, in the tier its size calls for
+    nodes = []
+
+    def follow(remap, new_cap):
+        if remap is not None:
+            nodes[:] = [remap[u] for u in nodes]
+
+    b = make_backend(cfg(repr_), on_grow=follow)
+    nodes.append(b.root_id)
+    rng = random.Random(3)
+    while b.node_count < 6000:
+        parent = nodes[rng.randrange(len(nodes))]
+        code = rng.randrange(1025)
+        if b.getchild(parent, code) is None:
+            nodes.append(b.addchild(parent, code))
+    assert b.growth_events >= 8
+    disp = b._disp
+    escaped = [j for j in range(b.capacity) if disp._base.get(j) == _SMALL_ESCAPE]
+    assert len(escaped) == disp.mid_count + disp.spill_count
+    assert disp.mid_count > 0
+    for j in escaped:
+        d = disp.get(j)
+        assert d >= _SMALL_ESCAPE
+        if d < _MID_LIMIT:
+            assert disp._mid.get(j) == d - _SMALL_ESCAPE and disp._spill.get(j) is None
+        else:
+            assert disp._spill.get(j) == d and disp._mid.get(j) is None
 
 
 # ---------------------------------------------------------------- fresh state
