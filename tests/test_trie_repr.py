@@ -22,7 +22,7 @@ def cfg(repr_, capacity=16, lam=4, **kw):
 
 
 def test_spill_table_differential():
-    # the mid tier's shape: 7-bit values, 64 starting slots, grown under load
+    # the mid tier's shape: 7-bit values, 64 starting slots
     rng = random.Random(1)
     st = SpillTable(key_bits=10, val_bits=7, capacity=1 << 6)
     model = {}
@@ -36,11 +36,20 @@ def test_spill_table_differential():
             probe = rng.randrange(1 << 10)
             assert st.get(probe) == model.get(probe)
     assert len(st) == 900
-    assert st._cap >= 1024  # started at 64, load cap forces doublings
+    assert st._cap >= 1024  # 900 keys outgrow the 64 starting slots
     for key in keys[:900]:
         assert st.get(key) == model[key]
     for key in keys[900:]:
         assert st.get(key) is None
+
+
+def test_spill_table_grows_under_load():
+    st = SpillTable(key_bits=12, val_bits=7, capacity=1 << 6)
+    for key in range(600):
+        st.insert(key, key % 128)
+    assert st._cap >= 1024  # started at 64, load cap forces doublings
+    assert len(st) == 600
+    assert all(st.get(k) == k % 128 for k in range(600))
 
 
 def test_spill_table_roundtrip_and_duplicate():
