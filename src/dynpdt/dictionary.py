@@ -132,6 +132,8 @@ class Dictionary:
         else:
             backend = self._backend
             step = self._step_code
+            if hops:  # room for the whole tail before any of it is made
+                u = backend.reserve(u, hops + 1)
             while hops:
                 u = backend.addchild(u, step)
                 nlm.associate_step(u)

@@ -1,9 +1,9 @@
-"""Hash building blocks: a 64-bit scrambler, an invertible mixer, and VByte.
+"""Hash building blocks: a 64-bit scrambler, an invertible multiply, and VByte.
 
 Everything here is deterministic with fixed published constants: no seeds,
 no per-process randomization. The scrambler is the splitmix64 output
-function. The invertible mixer composes a xorshift involution with an odd
-multiplicative step modulo a power of two, so compact tables can store
+function. The invertible multiply (Knuth's multiplicative hashing modulo a
+power of two) places keys in the trie tables, which can then store
 quotients and reconstruct keys exactly.
 """
 
@@ -36,11 +36,9 @@ class SplitMix64:
         self._state = seed & _U64
 
     def next(self) -> int:
-        self._state = (self._state + GOLDEN_GAMMA) & _U64
         z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _U64
-        z = ((z ^ (z >> 27)) * _MIX2) & _U64
-        return z ^ (z >> 31)
+        self._state = (z + GOLDEN_GAMMA) & _U64
+        return scramble(z)
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection sampling."""
@@ -54,33 +52,28 @@ class SplitMix64:
 
 
 class BijectiveTransform:
-    """Bijection over [0, 2**bits) built from two invertible stages.
+    """Bijection over [0, 2**bits): one multiply by a fixed odd constant.
 
-    Stage one is x ^ (x >> shift) with shift > bits/2, which is its own
-    inverse. Stage two multiplies by a fixed odd constant modulo 2**bits;
-    its inverse multiplies by the modular inverse. forward() applies the
-    xorshift first. 0 maps to 0, which parks the root key of a fresh
-    compact table at slot 0.
+    forward(x) is x * m mod 2**bits and inverse(y) is y * m**-1 mod 2**bits.
+    The high bits of the product depend on every bit of x, so a table of
+    2**h slots homes a key at forward(x) >> (bits - h); the low bits that
+    remain are the quotient a compact table stores. 0 maps to 0.
     """
 
-    __slots__ = ("bits", "_mask", "_shift", "_mult", "_mult_inv")
+    __slots__ = ("_mask", "_mult", "_mult_inv")
 
     def __init__(self, bits: int) -> None:
         if bits < 1:
             raise ContractViolation("transform needs a domain of at least one bit")
-        self.bits = bits
         self._mask = (1 << bits) - 1
-        self._shift = bits // 2 + 1
         self._mult = (GOLDEN_GAMMA & self._mask) | 1  # truncated constant, forced odd
         self._mult_inv = pow(self._mult, -1, 1 << bits)
 
     def forward(self, x: int) -> int:
-        x ^= x >> self._shift
         return (x * self._mult) & self._mask
 
     def inverse(self, y: int) -> int:
-        y = (y * self._mult_inv) & self._mask
-        return y ^ (y >> self._shift)
+        return (y * self._mult_inv) & self._mask
 
 
 def vbyte_encode(n: int) -> bytes:

@@ -260,7 +260,8 @@ class SparseLabelMapFK:
         if g == len(self._groups):
             self._groups.append(bytearray(record))
         else:
-            self._groups[g] += record
+            # a fresh exact-size buffer: += would over-allocate it
+            self._groups[g] = self._groups[g] + record
         self._count += 1
 
     def associate(self, nid: int, label: bytes, value: int) -> None:

@@ -11,15 +11,16 @@ interchangeable layouts implement the same contract:
 * ``pfkt`` / ``cfkt`` wrap the two layouts above with a dense id space:
   ids are assigned in creation order and survive growth unchanged.
 
-All four grow through one routine, ``_HashTrie._grow``: it allocates an
-empty table of twice the capacity, refills it from the current one through
-the layout's own probe, placement and key-decoding hooks, and then swaps it
-in. Slot ids move when the table doubles, so the slot-id layouts refill by
-relocation: nodes are re-added top-down, parents before children, because
-a child's key holds its parent's new slot. The resulting map (old id to new
-id) is handed to the ``on_grow`` callback so label storage can follow.
-Dense ids do not move, so the dense-id layouts simply rehash every stored
-key in old-slot order and pass no map.
+All four home key k at the high bits of hv = BijectiveTransform.forward(k);
+the compact layouts store hv's low symbol_bits as the quotient. So ``pbt``
+and ``cbt`` put every node in the same slot, as do ``pfkt`` and ``cfkt``.
+
+All four grow through ``_HashTrie._grow``, which refills an empty larger
+table through the layout's probe, placement and key-decoding hooks. Slot
+ids move, so the slot-id layouts relocate nodes top-down (a child's key
+holds its parent's new slot) and hand the old-to-new id map to ``on_grow``
+so label storage can follow. Dense ids stay, so the dense-id layouts
+rehash every key in old-slot order and pass no map.
 
 Displacements for the compact layouts live in a 4-bit array whose top
 value escapes to one of two small linear-probing tables keyed by slot: a
@@ -37,7 +38,7 @@ from .core import (
     CorruptionError,
     ResourceExhausted,
 )
-from .hashing import GOLDEN_GAMMA, _MIX1, _MIX2, _U64, BijectiveTransform, scramble
+from .hashing import BijectiveTransform, scramble
 
 _SMALL_ESCAPE = (1 << 4) - 1          # displacement >= 15 leaves the 4-bit array
 _MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # displacement >= 143 goes to the spill table
@@ -174,6 +175,7 @@ class _HashTrie:
         self.capacity = capacity
         self._cap_bits = cap_bits
         self._cap_mask = capacity - 1
+        self._tf = BijectiveTransform(cap_bits + self._sym_bits)
 
     def _claim_root(self, slot: int) -> None:
         self.root_id = slot
@@ -188,17 +190,27 @@ class _HashTrie:
     def addchild(self, u: int, c: int) -> int:
         """Create the child of u along edge code c and return its id.
 
-        The caller guarantees no such child exists. May double the table
+        The caller guarantees no such child exists. May grow the table
         first; slot-addressed ids are then remapped, including u.
         """
-        n = self.node_count
-        if 10 * (n + 1) > 9 * self.capacity:
-            remap = self._grow()
-            if remap is not None:
-                u = remap[u]
+        u = self.reserve(u, 1)
         slot = self._place((u << self._sym_bits) | c)
-        self.node_count = n + 1
+        self.node_count += 1
         return self._claim_child(slot)
+
+    def reserve(self, u: int, extra: int) -> int:
+        """Make room for extra more nodes; returns u's id afterwards.
+
+        Grows the table in one refill to the smallest doubling that keeps
+        the load <= 0.9, or raises and leaves it as it was.
+        """
+        capacity = self.capacity
+        while 10 * (self.node_count + extra) > 9 * capacity:
+            capacity *= 2
+        if capacity == self.capacity:
+            return u
+        remap = self._grow(capacity)
+        return u if remap is None else remap[u]
 
     def getparent(self, u: int) -> int:
         self._check_inner(u)
@@ -215,12 +227,11 @@ class _HashTrie:
             raise ContractViolation(f"id {u} is not a live node")
 
     # growth ----------------------------------------------------------
-    def _grow(self):
-        """Double the table and refill it; returns the id remap or None."""
-        capacity = 2 * self.capacity
+    def _grow(self, capacity: int):
+        """Refill the table at a larger capacity; returns the id remap or None."""
         if capacity > MAX_CAPACITY:
             raise ResourceExhausted(f"table would exceed {MAX_CAPACITY} slots")
-        # build the doubled storage on a bare instance, then move it over
+        # build the new storage on a bare instance, then move it over
         # attribute by attribute: reading self.__dict__ (as copy() would)
         # makes CPython 3.11 take its slower lookup for self's attributes
         new = object.__new__(type(self))
@@ -283,11 +294,8 @@ class PlainBonsaiTrie(_HashTrie):
         self._sentinel = (1 << width) - 1
 
     def _place(self, k: int) -> int:
-        z = (k + GOLDEN_GAMMA) & _U64  # scramble(), inlined
-        z = ((z ^ (z >> 30)) * _MIX1) & _U64
-        z = ((z ^ (z >> 27)) * _MIX2) & _U64
         mask = self._cap_mask
-        j = (z ^ (z >> 31)) & mask
+        j = (k * self._tf._mult >> self._sym_bits) & mask  # forward(), inlined
         table = self._table
         get = table.get
         sent = self._sentinel
@@ -297,13 +305,11 @@ class PlainBonsaiTrie(_HashTrie):
         return j
 
     def _find_slot(self, u: int, c: int) -> int | None:
-        # one frame: scramble() and IntVector.get are inlined
-        k = (u << self._sym_bits) | c
-        z = (k + GOLDEN_GAMMA) & _U64
-        z = ((z ^ (z >> 30)) * _MIX1) & _U64
-        z = ((z ^ (z >> 27)) * _MIX2) & _U64
+        # one frame: BijectiveTransform.forward and IntVector.get are inlined
+        zs = self._sym_bits
+        k = (u << zs) | c
         mask = self._cap_mask
-        j = (z ^ (z >> 31)) & mask
+        j = (k * self._tf._mult >> zs) & mask
         table = self._table
         words = table._words
         width = table.width
@@ -344,23 +350,21 @@ class CompactBonsaiTrie(_HashTrie):
 
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)
-        self._tf = BijectiveTransform(self._cap_bits + self._sym_bits)
         self._quot = IntVector(self._sym_bits, capacity)
         self._occ = BitVector(capacity)
         self._disp = DisplacementStore(capacity, self._cap_bits)
 
     def _place(self, k: int) -> int:
-        tf = self._tf  # forward() and the occupancy reads are inlined
-        k ^= k >> tf._shift
-        hv = (k * tf._mult) & tf._mask
+        hv = k * self._tf._mult  # forward() and the occupancy reads are inlined
+        zs = self._sym_bits
         mask = self._cap_mask
-        i = hv & mask
+        i = (hv >> zs) & mask
         occ = self._occ._words
         j = i
         while (occ[j >> 6] >> (j & 63)) & 1:
             j = (j + 1) & mask
         occ[j >> 6] |= 1 << (j & 63)
-        self._quot.set(j, hv >> self._cap_bits)
+        self._quot.set(j, hv & ((1 << zs) - 1))
         self._disp.set(j, (j - i) & mask)
         return j
 
@@ -368,18 +372,16 @@ class CompactBonsaiTrie(_HashTrie):
         # one frame: BijectiveTransform.forward and the occupancy, quotient
         # and 4-bit displacement reads are inlined; only an escaped
         # displacement goes through DisplacementStore.get
-        x = (u << self._sym_bits) | c
-        tf = self._tf
-        x ^= x >> tf._shift
-        hv = (x * tf._mult) & tf._mask
-        mask = self._cap_mask
-        j = hv & mask
-        q = hv >> self._cap_bits
-        occ = self._occ._words
+        zs = self._sym_bits
         quot = self._quot
+        qmask = quot._mask
+        hv = ((u << zs) | c) * self._tf._mult
+        mask = self._cap_mask
+        j = (hv >> zs) & mask
+        q = hv & qmask
+        occ = self._occ._words
         qwords = quot._words
         width = quot.width
-        qmask = quot._mask
         disp = self._disp
         nibbles = disp._base._words
         esc = _SMALL_ESCAPE
@@ -405,7 +407,7 @@ class CompactBonsaiTrie(_HashTrie):
 
     def _slot_key(self, j: int) -> int:
         i = (j - self._disp.get(j)) & self._cap_mask
-        return self._tf.inverse((self._quot.get(j) << self._cap_bits) | i)
+        return self._tf.inverse((i << self._sym_bits) | self._quot.get(j))
 
     def _used_slots(self):
         return self._occ.iter_set()
@@ -478,7 +480,6 @@ class _DenseIdMixin:
             nid = old_ids(j)
             ids(t, nid)
             slots(nid, t)
-        return None
 
     def memory_bytes(self) -> int:
         return (super().memory_bytes() + self._ids.allocated_bytes +

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from conftest import TECH_WORDS, random_words
-from dynpdt import Config, Dictionary, InvalidKeyword, NO_VALUE
+from dynpdt import Config, Dictionary, InvalidKeyword, NO_VALUE, ResourceExhausted
+from dynpdt.core import REPRS
 from oracles import OracleDictionary
 
 
@@ -242,3 +243,24 @@ def test_mixed_ops_match_oracle(combo):
             assert sorted(d.items()) == sorted(oracle.items())
             assert len(d) == oracle.key_count
     assert sorted(d.items()) == sorted(oracle.items())
+
+
+@pytest.mark.parametrize("repr_", REPRS)
+def test_refused_growth_leaves_insert_undone(repr_, monkeypatch):
+    # 12 nodes fill 16 slots to 0.75; a key that branches 9 bytes into the
+    # root label owes 2 step nodes plus its edge, so it needs 32 slots,
+    # which a ceiling of 16 refuses before any node is created
+    import dynpdt.trie_repr as tr
+    monkeypatch.setattr(tr, "MAX_CAPACITY", 16)
+    d = make(repr_, capacity=16, lam=4)
+    d.insert(b"abcdefghijklmnop", 0)
+    for i, ch in enumerate(b"bcdefghijkl", 1):
+        d.insert(bytes((ch,)), i)
+    assert d.node_count == 12
+    before = (d.node_count, len(d), d.memory_bytes(), sorted(d.items()))
+    for _ in range(2):
+        with pytest.raises(ResourceExhausted):
+            d.insert(b"abcdefghiX", 99)
+        assert (d.node_count, len(d), d.memory_bytes(), sorted(d.items())) == before
+    assert d.lookup(b"abcdefghiX") is None
+    assert d.insert(b"m", 12) is True  # a lone edge still fits

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -146,6 +147,19 @@ def test_fk_is_append_only():
     with pytest.raises(Exception):
         m.associate(25, b"gap", 1)  # id 20 was never assigned
     m.ensure_capacity(1 << 12)  # a no-op, dense storage grows by itself
+
+
+@pytest.mark.parametrize("ell", [16, 64])
+def test_fk_group_buffers_exact_size(ell):
+    # appending must not leave a group's bytearray over-allocated
+    m = SparseLabelMapFK(ell)
+    for nid in range(40):
+        if nid % 5 == 4:
+            m.associate_step(nid)
+        else:
+            m.associate(nid, b"w" * (nid % 9), nid)
+    for buf in m._groups:
+        assert sys.getsizeof(buf) == sys.getsizeof(bytearray(buf))
 
 
 def test_factory_wires_families():

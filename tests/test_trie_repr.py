@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from conftest import dna_kmers, random_words, synthetic_urls
+from dynpdt import Dictionary
 from dynpdt.core import REPRS, Config, ContractViolation, ResourceExhausted
-from dynpdt.hashing import scramble
 from dynpdt.trie_repr import (
     _MID_LIMIT,
     _SMALL_ESCAPE,
@@ -85,7 +86,7 @@ def test_probe_through_displacement_tiers(repr_):
     root_key = b._root_key  # the root's (0, code) key is already placed
 
     def key_at(quot):
-        k = tf.inverse((quot << b._cap_bits) | home)
+        k = tf.inverse((home << sym_bits) | quot)
         return k >> sym_bits, k & ((1 << sym_bits) - 1)
 
     edges = [key_at(q) for q in range(1, 211)]
@@ -144,10 +145,8 @@ def test_fresh_backend_state(repr_):
     if repr_ in ("pfkt", "cfkt"):
         assert b.root_id == 0
     root_key = cfg(repr_).symbol_space - 1
-    if repr_ == "pbt":
-        assert b.root_id == scramble(root_key) & 15
-    if repr_ == "cbt":
-        assert b.root_id == b._tf.forward(root_key) & 15
+    if repr_ in ("pbt", "cbt"):
+        assert b.root_id == b._tf.forward(root_key) >> b._sym_bits
 
 
 @pytest.mark.parametrize("repr_", REPRS)
@@ -288,6 +287,47 @@ def test_backend_differential(repr_):
             oracle.check_parent(handles[rng.randrange(1, len(handles))])
     oracle.check_all()
     assert b.growth_events >= 6
+
+
+# ---------------------------------------------------------------- placement
+
+CORPORA = {"words": random_words, "kmers": dna_kmers, "urls": synthetic_urls}
+
+
+def build(repr_, keys, lam):
+    d = Dictionary(cfg(repr_, lam=lam))
+    for i, k in enumerate(keys):
+        d.insert(k, i)
+    return d
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_plain_and_compact_twins_place_alike(corpus):
+    # one placement hash for all four tables: each compact table puts every
+    # node where its plain twin does, through step nodes and every doubling
+    keys = CORPORA[corpus](5000, seed=0)
+    d = {r: build(r, keys, lam=4) for r in REPRS}
+    assert d["pbt"].growth_events >= 9
+    if corpus != "words":  # words of <= 12 letters never owe a step
+        assert d["pbt"].node_count > len(keys)
+    for plain, compact in (("pbt", "cbt"), ("pfkt", "cfkt")):
+        p, c = d[plain]._backend, d[compact]._backend
+        assert p.capacity == c.capacity
+        assert list(p._used_slots()) == list(c._used_slots())
+    assert list(d["pbt"]._nlm.iter_items()) == list(d["cbt"]._nlm.iter_items())
+    assert d["pfkt"]._backend._ids._words == d["cfkt"]._backend._ids._words
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+@pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
+def test_mean_displacement_near_uniform(repr_, corpus):
+    # linear probing under a uniform hash displaces a key by
+    # (1/(1 - load) - 1)/2 slots on average; clustering shows up as a
+    # multiple of that
+    b = build(repr_, CORPORA[corpus](20_000, seed=0), lam=64)._backend
+    disp = [b._disp.get(j) for j in b._used_slots()]
+    load = b.node_count / b.capacity
+    assert sum(disp) / len(disp) <= 2 * 0.5 * (1 / (1 - load) - 1)
 
 
 # ---------------------------------------------------------------- memory
