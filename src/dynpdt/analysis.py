@@ -47,11 +47,21 @@ class ShapeStats:
         return self.label_sum / self.nonstep_count
 
 
+def _labeled_edges_above(d: Dictionary, u: int) -> int:
+    """Non-step edges between the root and node u: each ends at a labeled node."""
+    backend = d._backend
+    root = backend.root_id
+    step = d._step_code
+    n = 0
+    while u != root:
+        u, c = backend.parent_edge(u)
+        if c != step:
+            n += 1
+    return n
+
+
 def shape_stats(d: Dictionary) -> ShapeStats:
     """Census every node by climbing its parent chain."""
-    backend = d._backend
-    step_code = d._step_code
-    root = backend.root_id
     node_count = 0
     step_count = 0
     height_sum = 0
@@ -62,14 +72,10 @@ def shape_stats(d: Dictionary) -> ShapeStats:
             step_count += 1
             continue
         label_sum += len(payload.label) + 1
-        u = nid
-        while u != root:
-            u = backend.getparent(u)
-            if u == root or backend.getedge(u) != step_code:
-                height_sum += 1
+        height_sum += _labeled_edges_above(d, nid)
     if node_count == 0:
         raise EmptyCorpus("dictionary holds no keywords")
-    if node_count != backend.node_count:
+    if node_count != d.node_count:
         raise CorruptionError("label records out of sync with the trie")
     return ShapeStats(node_count, step_count, height_sum, label_sum)
 
@@ -86,16 +92,7 @@ def nonstep_path_nodes(d: Dictionary, keyword) -> int:
     hit = d._locate(s)
     if hit is None:
         raise KeyError(bytes(keyword))
-    backend = d._backend
-    root = backend.root_id
-    step = d._step_code
-    u = hit[0]
-    n = 1
-    while u != root:
-        u = backend.getparent(u)
-        if u == root or backend.getedge(u) != step:
-            n += 1
-    return n
+    return 1 + _labeled_edges_above(d, hit[0])
 
 
 def centroid_bound(keywords) -> float:

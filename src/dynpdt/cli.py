@@ -200,6 +200,12 @@ def emit(rep: dict, fmt: str) -> str:
     return "\n".join(f"{k}\t{rep[k]}" for k in sorted(rep))
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("corpus", help="newline-separated keyword file")
@@ -227,9 +233,9 @@ def _parser() -> argparse.ArgumentParser:
                    help="insert the corpus and verify every keyword")
     bench = sub.add_parser("bench", parents=[shared],
                            help="time hit and miss lookups after a build")
-    bench.add_argument("--queries", type=int, default=1_000_000, metavar="N",
+    bench.add_argument("--queries", type=_positive_int, default=1_000_000, metavar="N",
                        help="max sampled queries (default: 1000000)")
-    bench.add_argument("--repeats", type=int, default=3, metavar="N",
+    bench.add_argument("--repeats", type=_positive_int, default=3, metavar="N",
                        help="timing passes, best taken (default: 3)")
     sub.add_parser("stats", parents=[shared],
                    help="build and census the trie shape")

@@ -23,6 +23,7 @@ grows; re-inserting a deleted keyword revives it in place.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Optional
 
 from .core import (
@@ -118,6 +119,7 @@ class Dictionary:
         inserted. Present keywords keep their old value.
         """
         s = validate_keyword(keyword)
+        value = operator.index(value)
         if not 0 <= value < NO_VALUE:
             raise ValueError(f"value must be in [0, {NO_VALUE})")
         u, payload, hops, c, i = self._walk(s)
@@ -198,8 +200,9 @@ class Dictionary:
         chain = []  # (node, incoming edge code), bottom-up
         u = nid
         while u != root:
-            chain.append((u, backend.getedge(u)))
-            u = backend.getparent(u)
+            p, c = backend.parent_edge(u)
+            chain.append((u, c))
+            u = p
         parts = []
         pending = 0
         cur_label = nlm.access(root).label

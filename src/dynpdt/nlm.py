@@ -133,7 +133,8 @@ class SparseLabelMapBonsai:
         self._shift = group_size.bit_length() - 1
         self._group_floor = ~(group_size - 1)  # bit & floor: first bit of its group
         self._capacity = capacity
-        self._groups: list[bytearray | None] = [None] * (capacity >> self._shift)
+        # rounded up: a table smaller than one group still needs that group
+        self._groups: list[bytearray | None] = [None] * -(-capacity >> self._shift)
         self._bits = BitVector(capacity)
 
     def _insert(self, nid: int, record: bytes) -> None:
@@ -221,7 +222,7 @@ class SparseLabelMapBonsai:
                 pos = end
                 chunk ^= low
         self._capacity = new_capacity
-        self._groups = [None] * (new_capacity >> self._shift)
+        self._groups = [None] * -(-new_capacity >> self._shift)
         self._bits = BitVector(new_capacity)
         for nid, record in records:
             self._insert(nid, record)

@@ -16,11 +16,11 @@ the compact layouts store hv's low symbol_bits as the quotient. So ``pbt``
 and ``cbt`` put every node in the same slot, as do ``pfkt`` and ``cfkt``.
 
 All four grow through ``_HashTrie._grow``, which refills an empty larger
-table through the layout's probe, placement and key-decoding hooks. Slot
-ids move, so the slot-id layouts relocate nodes top-down (a child's key
-holds its parent's new slot) and hand the old-to-new id map to ``on_grow``
-so label storage can follow. Dense ids stay, so the dense-id layouts
-rehash every key in old-slot order and pass no map.
+table through the layout's placement and key-decoding hooks, never probing
+the old one. Slot ids move, so the slot-id layouts relocate nodes top-down,
+placing the slots each climb recorded under their parents' new slots, and
+hand the old-to-new id map to ``on_grow`` so label storage can follow.
+Dense ids stay, so the dense-id layouts rehash every key and pass no map.
 
 Displacements for the compact layouts live in a 4-bit array whose top
 value escapes to one of two small linear-probing tables keyed by slot: a
@@ -148,10 +148,10 @@ class _HashTrie:
 
     Each layout supplies the storage hooks: ``_init_storage`` allocates an
     empty table, ``_place(k)`` stores packed key k and returns its slot,
-    ``_find_slot(u, c)`` returns the slot holding edge (u, c) or None,
-    ``_slot_key(j)`` decodes the key stored at slot j, ``_used_slots()``
-    yields the occupied slots in increasing order, and ``_is_live(u)``
-    tells whether u names a node.
+    ``_find_slot(u, c)`` returns the slot holding edge (u, c) or None and
+    underlies ``getchild``, ``_slot_key(j)`` decodes the key stored at
+    slot j, ``_used_slots()`` yields the occupied slots in increasing
+    order, and ``_is_live(u)`` tells whether u names a node.
     """
 
     family = "bonsai"
@@ -212,19 +212,14 @@ class _HashTrie:
         remap = self._grow(capacity)
         return u if remap is None else remap[u]
 
-    def getparent(self, u: int) -> int:
-        self._check_inner(u)
-        return self._slot_key(self._slot_of(u)) >> self._sym_bits
-
-    def getedge(self, u: int) -> int:
-        self._check_inner(u)
-        return self._slot_key(self._slot_of(u)) & (self._sym_space - 1)
-
-    def _check_inner(self, u: int) -> None:
+    def parent_edge(self, u: int) -> tuple[int, int]:
+        """(parent id, incoming edge code) of the non-root node u."""
         if u == self.root_id:
             raise ContractViolation("the root has no parent edge")
         if not self._is_live(u):
             raise ContractViolation(f"id {u} is not a live node")
+        k = self._slot_key(self._slot_of(u))
+        return k >> self._sym_bits, k & (self._sym_space - 1)
 
     # growth ----------------------------------------------------------
     def _grow(self, capacity: int):
@@ -249,14 +244,13 @@ class _HashTrie:
         """Relocate every node top-down into new; returns {old id: new id}.
 
         Scan the slots left to right. From each unmoved node, climb to its
-        nearest relocated ancestor recording edge codes, then walk back
-        down, finding each edge here and placing it in new under the
+        nearest relocated ancestor recording each slot and its edge code,
+        then walk back down, placing each recorded edge in new under the
         parent's new slot. The remap doubles as the relocated set.
         """
         zs = self._sym_bits
         sym_mask = self._sym_space - 1
         place = new._place
-        find = self._find_slot
         slot_key = self._slot_key
         new.root_id = place(self._root_key)
         remap = {self.root_id: new.root_id}
@@ -268,16 +262,12 @@ class _HashTrie:
             u = i
             while u not in remap:
                 k = slot_key(u)
-                path.append(k & sym_mask)
+                path.append((u, k & sym_mask))
                 u = k >> zs
             nu = remap[u]
             while path:
-                c = path.pop()
-                j = find(u, c)
-                if j is None:
-                    raise CorruptionError("edge vanished during relocation")
+                j, c = path.pop()
                 nu = remap[j] = place((nu << zs) | c)
-                u = j
                 moved += 1
         if moved != self.node_count - 1:
             raise CorruptionError("relocation did not visit every node exactly once")
@@ -424,7 +414,7 @@ class _DenseIdMixin:
     """Dense creation-order ids held beside the slot table.
 
     A slot-to-id array answers getchild; an id-to-slot array answers
-    getparent/getedge and keeps ids stable while slots move under growth.
+    parent_edge and keeps ids stable while slots move under growth.
     """
 
     family = "fk"

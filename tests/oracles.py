@@ -82,8 +82,7 @@ class OracleTrie:
 
     def check_parent(self, handle: int) -> None:
         parent, code = self.parent[handle]
-        assert self.backend.getparent(self.bid[handle]) == self.bid[parent]
-        assert self.backend.getedge(self.bid[handle]) == code
+        assert self.backend.parent_edge(self.bid[handle]) == (self.bid[parent], code)
 
     def check_all(self) -> None:
         assert self.backend.node_count == self.n_nodes

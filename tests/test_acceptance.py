@@ -40,8 +40,7 @@ def records(d):
     root = d._backend.root_id
     out = []
     for nid, p in d._nlm.iter_items():
-        edge = None if nid == root else d._backend.getedge(nid)
-        parent = None if nid == root else d._backend.getparent(nid)
+        parent, edge = (None, None) if nid == root else d._backend.parent_edge(nid)
         out.append((nid, p.label, p.value, edge, parent))
     return out
 

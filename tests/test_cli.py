@@ -166,3 +166,12 @@ def test_bad_arguments_exit_two(corpus):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("option", ["--queries", "--repeats"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bench_counts_must_be_positive(corpus, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(corpus), option, value])
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err

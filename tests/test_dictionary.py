@@ -58,7 +58,7 @@ def test_worked_example_structure(combo):
         if nid == root:
             assert label == b"technology"
         else:
-            edges[label] = divmod(d._backend.getedge(nid), lam)
+            edges[label] = divmod(d._backend.parent_edge(nid)[1], lam)
     assert edges == {
         b"cs": (ord("i"), 5),
         b"ue": (ord("q"), 0),
@@ -76,7 +76,7 @@ def test_step_chain_for_far_mismatch():
     assert d.node_count == 6
     steps = [nid for nid, p in d._nlm.iter_items() if p.value is None]
     assert len(steps) == 1
-    assert d._backend.getedge(steps[0]) == d.config.step_code
+    assert d._backend.parent_edge(steps[0])[1] == d.config.step_code
     for i, w in enumerate(words):
         assert d.lookup(w) == i
     assert sorted(d.items()) == sorted((w, i) for i, w in enumerate(words))
@@ -94,7 +94,7 @@ def test_prefix_keyword_gets_terminator_edge(combo):
     assert sorted(d.items()) == [(b"a", 2), (b"az", 1), (b"z", 0)]
     # the node for "a" sits below the node for "az" via a terminator edge
     (nid,) = [nid for nid, label, _ in labeled_records(d) if label == b""]
-    assert d._backend.getedge(nid) < d.config.offset_limit  # branch byte 0
+    assert d._backend.parent_edge(nid)[1] < d.config.offset_limit  # branch byte 0
 
 
 def test_nested_prefix_chain():
@@ -164,14 +164,16 @@ def test_bytes_like_keywords():
 
 
 def test_growth_mid_build(combo, small_words):
-    d = make(*combo, capacity=16)
-    for i, w in enumerate(small_words):
-        assert d.insert(w, i) is True
-    assert d.growth_events >= 4
-    assert d.capacity >= 16 * 2**4
-    for i, w in enumerate(small_words):
-        assert d.lookup(w) == i
-    assert sorted(d.items()) == sorted((w, i) for i, w in enumerate(small_words))
+    # with 32 or 64 labels per group, 16 slots hold less than one group
+    for ell in (16, 32, 64):
+        d = make(*combo, capacity=16, group_size=ell)
+        for i, w in enumerate(small_words):
+            assert d.insert(w, i) is True
+        assert d.growth_events >= 4
+        assert d.capacity >= 16 * 2**4
+        for i, w in enumerate(small_words):
+            assert d.lookup(w) == i
+        assert sorted(d.items()) == sorted((w, i) for i, w in enumerate(small_words))
 
 
 def test_byte_identical_determinism(combo, small_words):
@@ -264,3 +266,20 @@ def test_refused_growth_leaves_insert_undone(repr_, monkeypatch):
         assert (d.node_count, len(d), d.memory_bytes(), sorted(d.items())) == before
     assert d.lookup(b"abcdefghiX") is None
     assert d.insert(b"m", 12) is True  # a lone edge still fits
+
+
+def test_non_integer_value_leaves_insert_undone(combo):
+    # the value is coerced before the walk, so a rejected one creates no
+    # node, whether the keyword is new or a deleted one being revived
+    d = make(*combo)
+    for i, w in enumerate(TECH_WORDS):
+        d.insert(w, i)
+    assert d.delete(b"technically") is True
+    for key in (b"techno", b"technically"):
+        before = (d.node_count, len(d), d.memory_bytes(), sorted(d.items()))
+        for bad in (1.5, "7", None):
+            with pytest.raises(TypeError):
+                d.insert(key, bad)
+            assert (d.node_count, len(d), d.memory_bytes(), sorted(d.items())) == before
+        assert d.insert(key, 9) is True
+        assert d.lookup(key) == 9

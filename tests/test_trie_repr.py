@@ -162,18 +162,16 @@ def test_child_lifecycle(repr_):
     assert b.getchild(u, 3) == w
     assert b.getchild(u, 200) is None
     assert b.node_count == 4
-    assert b.getparent(w) == u and b.getedge(w) == 3
-    assert b.getparent(u) == root and b.getedge(u) == 3
-    assert b.getparent(v) == root and b.getedge(v) == 200
+    assert b.parent_edge(w) == (u, 3)
+    assert b.parent_edge(u) == (root, 3)
+    assert b.parent_edge(v) == (root, 200)
 
 
 @pytest.mark.parametrize("repr_", REPRS)
 def test_root_has_no_parent_edge(repr_):
     b = make_backend(cfg(repr_))
     with pytest.raises(ContractViolation):
-        b.getparent(b.root_id)
-    with pytest.raises(ContractViolation):
-        b.getedge(b.root_id)
+        b.parent_edge(b.root_id)
 
 
 @pytest.mark.parametrize("repr_", REPRS)
@@ -188,7 +186,7 @@ def test_dead_id_rejected(repr_):
         dead.append(u + 1)  # next dense id, not assigned yet
     for d in dead:
         with pytest.raises(ContractViolation):
-            b.getparent(d)
+            b.parent_edge(d)
 
 
 # ---------------------------------------------------------------- growth
@@ -218,6 +216,29 @@ def test_growth_preserves_structure(repr_):
             assert all(0 <= v < new_cap for v in remap.values())
         else:
             assert remap is None
+
+
+@pytest.mark.parametrize("repr_", ["pbt", "cbt"])
+def test_relocation_never_probes(repr_, monkeypatch):
+    # the climb records the slots it passes, so the way down places them
+    # without searching the old table again
+    b = make_backend(cfg(repr_))
+    oracle = OracleTrie(b)
+    rng = random.Random(3)
+    handles = [oracle.root]
+    while b.node_count < 14:  # 14 nodes fit 16 slots; the 15th doubles them
+        parent = handles[rng.randrange(len(handles))]
+        code = rng.randrange(1, 1024)
+        if (parent, code) not in oracle.children:
+            handles.append(oracle.addchild(parent, code))
+    assert b.growth_events == 0
+    calls = []
+    find = b._find_slot
+    monkeypatch.setattr(b, "_find_slot", lambda u, c: calls.append((u, c)) or find(u, c))
+    handles.append(oracle.addchild(handles[-1], 5))
+    assert b.growth_events == 1
+    assert calls == []
+    oracle.check_all()
 
 
 @pytest.mark.parametrize("repr_", REPRS)
@@ -265,7 +286,7 @@ def test_growth_capacity_ceiling(repr_, monkeypatch):
             assert (b.capacity, b.node_count, b.growth_events) == before
         for code, nid in children.items():
             assert b.getchild(b.root_id, code) == nid
-            assert b.getparent(nid) == b.root_id
+            assert b.parent_edge(nid) == (b.root_id, code)
 
 
 # ---------------------------------------------------------------- differential
