@@ -55,11 +55,12 @@ class EmptyCorpus(DynPdtError):
 def validate_keyword(raw) -> bytes:
     """Validate a raw key and return it with the terminator appended.
 
-    Accepts bytes or bytearray. Rejects empty keys and keys containing the
-    terminator byte, since either would break prefix-freeness.
+    Accepts bytes, bytearray or memoryview. Rejects empty keys and keys
+    containing the terminator byte, since either would break prefix-freeness.
     """
     if not isinstance(raw, (bytes, bytearray, memoryview)):
-        raise InvalidKeyword(f"key must be bytes, got {type(raw).__name__}")
+        raise InvalidKeyword(
+            f"key must be bytes, bytearray or memoryview, got {type(raw).__name__}")
     raw = bytes(raw)
     if not raw:
         raise InvalidKeyword("empty key")

@@ -50,6 +50,12 @@ class Dictionary:
         self._live = 0
 
     def _on_grow(self, remap, new_capacity: int) -> None:
+        """Let the labels follow a doubling of the node table.
+
+        remap is None when ids stay (dense-id tables). Otherwise it is the
+        array("q") _HashTrie._refill returns: the new id at each old id,
+        and -1 where no node was.
+        """
         if remap is None:
             self._nlm.ensure_capacity(new_capacity)
         else:

@@ -20,6 +20,7 @@ contiguously so the rank is just id modulo group_size.
 from __future__ import annotations
 
 import sys
+from array import array
 from typing import NamedTuple
 
 from .bitarrays import BitVector
@@ -94,11 +95,19 @@ class PlainLabelMap:
             raise ContractViolation(f"id {nid} has no keyword record")
         buf[-4:] = value.to_bytes(4, "little")
 
-    def remap(self, old_to_new: dict[int, int], new_capacity: int) -> None:
-        refs = self._refs
+    def remap(self, remap, new_capacity: int) -> None:
+        """Move every record to its new id.
+
+        remap is indexed by old id and holds -1 where no node was, as
+        _HashTrie._refill builds it; a record there is corruption.
+        """
         moved: list[bytearray | None] = [None] * new_capacity
-        for old, new in old_to_new.items():
-            moved[new] = refs[old]
+        for old, buf in enumerate(self._refs):
+            if buf is not None:
+                new = remap[old]
+                if new < 0:
+                    raise CorruptionError(f"id {old} has a record but no new id")
+                moved[new] = buf
         self._refs = moved
 
     def ensure_capacity(self, capacity: int) -> None:
@@ -205,27 +214,55 @@ class SparseLabelMapBonsai:
     def update_value(self, nid: int, value: int) -> None:
         self._record(nid, value)
 
-    def remap(self, old_to_new: dict[int, int], new_capacity: int) -> None:
-        records = []
+    def remap(self, remap, new_capacity: int) -> None:
+        """Move every record to its new id.
+
+        remap is indexed by old id and holds -1 where no node was, as
+        _HashTrie._refill builds it. Inverting it once gives each new id's
+        old id, so every new group is built in one pass: its records are
+        sliced out of their old groups in id order and joined into one
+        exact-size buffer, with no per-record object outliving its group.
+        """
+        shift = self._shift
         ell = self._ell
-        bits = self._bits
-        for g, buf in enumerate(self._groups):
-            if buf is None:
-                continue
-            base = g << self._shift
-            chunk = bits.chunk(base, ell)
-            pos = 0
-            while chunk:
-                low = chunk & -chunk
-                end = _skip_records(buf, pos, 1)
-                records.append((old_to_new[base + low.bit_length() - 1], bytes(buf[pos:end])))
-                pos = end
-                chunk ^= low
+        floor = self._group_floor
+        old_words = self._bits._words
+        old_groups = self._groups
+        inv = array("q", [-1]) * new_capacity
+        for old, new in enumerate(remap):
+            if new >= 0:
+                inv[new] = old
+        bits = BitVector(new_capacity)
+        words = bits._words
+        groups: list[bytearray | None] = [None] * -(-new_capacity >> shift)
+        join = bytearray().join
+        moved = 0
+        for g in range(len(groups)):
+            base = g << shift
+            parts = []
+            for nid, old in enumerate(inv[base:base + ell], base):
+                if old < 0:
+                    continue
+                word = old_words[old >> 6]
+                bit = old & 63
+                if not (word >> bit) & 1:
+                    continue  # a node with no record yet
+                # set bits of old's group below it, as in _record
+                rank = ((word & ((1 << bit) - 1)) >> (bit & floor)).bit_count()
+                buf = old_groups[old >> shift]
+                pos = _skip_records(buf, 0, rank)
+                parts.append(buf[pos:_skip_records(buf, pos, 1)])
+                words[nid >> 6] |= 1 << (nid & 63)
+            if parts:
+                groups[g] = join(parts)
+                moved += len(parts)
+        # a record whose id maps to -1, or to a new id another record took,
+        # is never reached from inv
+        if moved != sum(map(int.bit_count, old_words)):
+            raise CorruptionError("remap did not give every record its own new id")
         self._capacity = new_capacity
-        self._groups = [None] * -(-new_capacity >> self._shift)
-        self._bits = BitVector(new_capacity)
-        for nid, record in records:
-            self._insert(nid, record)
+        self._groups = groups
+        self._bits = bits
 
     def iter_items(self):
         for nid in self._bits.iter_set():

@@ -19,8 +19,10 @@ All four grow through ``_HashTrie._grow``, which refills an empty larger
 table through the layout's placement and key-decoding hooks, never probing
 the old one. Slot ids move, so the slot-id layouts relocate nodes top-down,
 placing the slots each climb recorded under their parents' new slots, and
-hand the old-to-new id map to ``on_grow`` so label storage can follow.
-Dense ids stay, so the dense-id layouts rehash every key and pass no map.
+hand ``on_grow`` the old-to-new id map so label storage can follow: one
+flat ``array("q")`` indexed by old slot, -1 at vacant slots, so a doubling
+holds no Python object per node. Dense ids stay, so the dense-id layouts
+rehash every key and pass None.
 
 Displacements for the compact layouts live in a 4-bit array whose top
 value escapes to one of two small linear-probing tables keyed by slot: a
@@ -29,6 +31,8 @@ holding full-width values past that.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .bitarrays import BitVector, IntVector
 from .core import (
@@ -240,27 +244,30 @@ class _HashTrie:
             self.on_grow(remap, capacity)
         return remap
 
-    def _refill(self, new) -> dict[int, int]:
-        """Relocate every node top-down into new; returns {old id: new id}.
+    def _refill(self, new) -> array:
+        """Relocate every node top-down into new; returns the id remap.
 
-        Scan the slots left to right. From each unmoved node, climb to its
-        nearest relocated ancestor recording each slot and its edge code,
-        then walk back down, placing each recorded edge in new under the
-        parent's new slot. The remap doubles as the relocated set.
+        The remap is an array("q") indexed by old slot holding each node's
+        new slot, and -1 at the slots no node used. Scan the slots left to
+        right. From each unmoved node, climb to its nearest relocated
+        ancestor recording each slot and its edge code, then walk back down,
+        placing each recorded edge in new under the parent's new slot. The
+        remap doubles as the relocated set: remap[u] >= 0 once u has moved.
         """
         zs = self._sym_bits
         sym_mask = self._sym_space - 1
         place = new._place
         slot_key = self._slot_key
         new.root_id = place(self._root_key)
-        remap = {self.root_id: new.root_id}
+        remap = array("q", [-1]) * self.capacity
+        remap[self.root_id] = new.root_id
         moved = 0
         for i in self._used_slots():
-            if i in remap:
+            if remap[i] >= 0:
                 continue
             path = []
             u = i
-            while u not in remap:
+            while remap[u] < 0:
                 k = slot_key(u)
                 path.append((u, k & sym_mask))
                 u = k >> zs

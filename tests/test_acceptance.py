@@ -133,8 +133,8 @@ def growth_run():
 
         def spy(remap, new_cap, _fwd=forward, _ev=remap_events, _d=d):
             if remap is not None:
-                _ev.append((len(remap), len(set(remap.values())),
-                            min(remap.values()), max(remap.values()),
+                moved = [v for v in remap if v >= 0]  # -1 marks a vacant slot
+                _ev.append((len(moved), len(set(moved)), min(moved), max(moved),
                             _d._backend.node_count, new_cap))
             else:
                 _ev.append(None)

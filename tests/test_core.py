@@ -22,6 +22,11 @@ def test_validate_rejects(bad):
         validate_keyword(bad)
 
 
+def test_validate_names_accepted_types():
+    with pytest.raises(InvalidKeyword, match="bytes, bytearray or memoryview, got str"):
+        validate_keyword("text")
+
+
 def test_config_defaults_and_derived():
     cfg = Config()
     assert cfg.trie_repr == "cbt" and cfg.label_map == "slm"

@@ -1,10 +1,11 @@
 """Dictionary behavior: decomposition shape, CRUD semantics, determinism."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from conftest import TECH_WORDS, random_words
+from conftest import TECH_WORDS, random_words, synthetic_urls
 from dynpdt import Config, Dictionary, InvalidKeyword, NO_VALUE, ResourceExhausted
 from dynpdt.core import REPRS
 from oracles import OracleDictionary
@@ -245,6 +246,33 @@ def test_mixed_ops_match_oracle(combo):
             assert sorted(d.items()) == sorted(oracle.items())
             assert len(d) == oracle.key_count
     assert sorted(d.items()) == sorted(oracle.items())
+
+
+@pytest.mark.parametrize("nlm, bound", [("slm", 4.0), ("plm", 1.0)])
+@pytest.mark.parametrize("repr_", ["pbt", "cbt"])
+def test_growth_peak_is_bounded(repr_, nlm, bound):
+    # a doubling of a slot-id table moves every node and label record; what
+    # it allocates on top of the dictionary stays a small multiple of it.
+    # tracemalloc runs only around the inserts that may double the table:
+    # one adds at most len(key) // 64 + 2 nodes at the default lam of 64
+    for keys in (synthetic_urls(8000, seed=3), random_words(8000, seed=3)):
+        d = make(repr_, nlm, capacity=16)
+        ratios = []
+        for i, k in enumerate(keys):
+            if 10 * (d.node_count + len(k) // 64 + 2) <= 9 * d.capacity or d.capacity < 1024:
+                d.insert(k, i)
+                continue
+            before, events = d.memory_bytes(), d.growth_events
+            tracemalloc.start()
+            try:
+                d.insert(k, i)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if d.growth_events > events:
+                ratios.append(peak / before)
+        assert len(ratios) >= 3
+        assert max(ratios) <= bound, ratios
 
 
 @pytest.mark.parametrize("repr_", REPRS)

@@ -1,9 +1,10 @@
 import random
 import sys
+from array import array
 
 import pytest
 
-from dynpdt.core import Config, ContractViolation, NO_VALUE
+from dynpdt.core import Config, ContractViolation, CorruptionError, NO_VALUE
 from dynpdt.nlm import (
     PlainLabelMap,
     SparseLabelMapBonsai,
@@ -130,12 +131,39 @@ def test_remap_moves_everything():
     for m in bonsai_maps(capacity=64):
         for nid in range(0, 40, 3):
             m.associate(nid, bytes([nid + 1]) * 3, nid)
-        mapping = {nid: 127 - nid for nid in range(0, 40, 3)}
-        m.remap(mapping, 128)
-        for old, new in mapping.items():
+        m.associate_step(41)
+        remap = array("q", [-1]) * 64  # -1: no node at that old id
+        for nid in range(0, 40, 3):
+            remap[nid] = 127 - nid
+        remap[41] = 64
+        remap[50] = 5  # a node with no record stays without one
+        m.remap(remap, 128)
+        moved = {127 - nid: (bytes([nid + 1]) * 3, nid) for nid in range(0, 40, 3)}
+        moved[64] = (b"", None)
+        for new, want in moved.items():
             got = m.access(new)
-            assert got.label == bytes([old + 1]) * 3 and got.value == old
-        assert m.access(0) is None or 0 in mapping.values()
+            assert (got.label, got.value) == want
+        for nid in range(128):
+            if nid not in moved:
+                assert m.access(nid) is None
+        assert sorted((n, p.label, p.value) for n, p in m.iter_items()) == \
+            sorted((n, label, value) for n, (label, value) in moved.items())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PlainLabelMap(64),
+    lambda: SparseLabelMapBonsai(64, 16),
+])
+def test_remap_rejects_an_unmapped_record(make):
+    # read as an index, the -1 left at id 9 would name the last new slot
+    m = make()
+    for nid in (3, 9, 40):
+        m.associate(nid, b"ab", nid)
+    remap = array("q", [-1]) * 64
+    remap[3] = 70
+    remap[40] = 126
+    with pytest.raises(CorruptionError):
+        m.remap(remap, 128)
 
 
 def test_fk_is_append_only():

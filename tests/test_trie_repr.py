@@ -212,8 +212,10 @@ def test_growth_preserves_structure(repr_):
     for remap, new_cap in remaps:
         if repr_ in ("pbt", "cbt"):
             assert remap is not None
-            assert len(set(remap.values())) == len(remap)  # bijective
-            assert all(0 <= v < new_cap for v in remap.values())
+            assert len(remap) == new_cap // 2  # one entry per old slot
+            moved = [v for v in remap if v >= 0]  # -1 marks a vacant old slot
+            assert len(moved) == len(set(moved))  # bijective
+            assert all(v < new_cap for v in moved)
         else:
             assert remap is None
 
