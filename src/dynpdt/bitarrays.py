@@ -60,7 +60,7 @@ class IntVector:
 
 
 class BitVector:
-    """Fixed-size bit vector with single-word chunk reads for rank queries."""
+    """Fixed-size bit vector; rank queries read its words directly."""
 
     __slots__ = ("size", "_words")
 
@@ -73,10 +73,6 @@ class BitVector:
 
     def set_true(self, i: int) -> None:
         self._words[i >> 6] |= 1 << (i & 63)
-
-    def chunk(self, start: int, nbits: int) -> int:
-        """Read nbits starting at start; must not straddle a word boundary."""
-        return (self._words[start >> 6] >> (start & 63)) & ((1 << nbits) - 1)
 
     def iter_set(self):
         """Yield the indices of set bits in increasing order."""

@@ -25,7 +25,10 @@ def load_corpus(path, dedupe: bool = False) -> tuple[list[bytes], dict]:
     keys: list[bytes] = []
     blank = invalid = dup = 0
     seen: set[bytes] | None = set() if dedupe else None
-    for line in data.split(b"\n"):
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last line starts no line
+    for line in lines:
         if line.endswith(b"\r"):
             line = line[:-1]
         if not line:

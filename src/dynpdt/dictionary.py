@@ -52,13 +52,14 @@ class Dictionary:
     def _on_grow(self, remap, new_capacity: int) -> None:
         """Let the labels follow a doubling of the node table.
 
-        remap is None when ids stay (dense-id tables). Otherwise it is the
-        array("q") _HashTrie._refill returns: the new id at each old id,
-        and -1 where no node was.
+        remap is None when ids stay (dense-id tables): their label maps
+        extend as new ids arrive, so there is nothing to do. Otherwise it
+        is the array("q") _HashTrie._refill returns, the new id at each old
+        id and -1 where no node was, and the label map moves its records.
+        nlm.remap is looked up on each call, so a wrapper set on the
+        instance later is honoured.
         """
-        if remap is None:
-            self._nlm.ensure_capacity(new_capacity)
-        else:
+        if remap is not None:
             self._nlm.remap(remap, new_capacity)
 
     def _walk(self, s: bytes):

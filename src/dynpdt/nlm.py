@@ -15,16 +15,20 @@ into one shared buffer; locating a record skips over its predecessors using
 the VByte lengths. Slot-addressed backends pair the sparse map with an
 occupancy bitmap and rank queries, while dense-id backends allocate ids
 contiguously so the rank is just id modulo group_size.
+
+Every map places records through its own _insert(nid, record). Dense ids
+are stable under growth, so their maps only extend as ids arrive. Slot ids
+move when the table doubles: the plain map then moves its references, and
+the sparse map re-inserts each record at its new id into a fresh map.
 """
 
 from __future__ import annotations
 
 import sys
-from array import array
 from typing import NamedTuple
 
 from .bitarrays import BitVector
-from .core import NO_VALUE, ContractViolation, CorruptionError
+from .core import ContractViolation, CorruptionError
 from .hashing import vbyte_decode, vbyte_encode
 
 
@@ -54,24 +58,33 @@ def _skip_records(buf, pos: int, count: int) -> int:
     return pos
 
 
-def _check_new(existing) -> None:
-    if existing is not None:
-        raise ContractViolation("id already has a record")
+class _LabelMap:
+    """The record-creating entry points, over the subclass's _insert."""
+
+    def associate(self, nid: int, label: bytes, value: int) -> None:
+        self._insert(nid, _encode_record(label, value))
+
+    def associate_step(self, nid: int) -> None:
+        self._insert(nid, _STEP_RECORD)
 
 
-class PlainLabelMap:
-    """One owned buffer per node id, indexed by a reference table."""
+class PlainLabelMap(_LabelMap):
+    """One owned buffer per node id, indexed by a reference table.
+
+    Slot-addressed backends size the table to their capacity; dense-id
+    backends start it empty and append one reference per new id.
+    """
 
     def __init__(self, capacity: int) -> None:
         self._refs: list[bytearray | None] = [None] * capacity
 
-    def associate(self, nid: int, label: bytes, value: int) -> None:
-        _check_new(self._refs[nid])
-        self._refs[nid] = bytearray(_encode_record(label, value))
-
-    def associate_step(self, nid: int) -> None:
-        _check_new(self._refs[nid])
-        self._refs[nid] = bytearray(_STEP_RECORD)
+    def _insert(self, nid: int, record: bytes) -> None:
+        refs = self._refs
+        if nid == len(refs):
+            refs.append(None)  # the next dense id
+        elif refs[nid] is not None:
+            raise ContractViolation("id already has a record")
+        refs[nid] = bytearray(record)
 
     def access(self, nid: int) -> Payload | None:
         refs = self._refs
@@ -90,7 +103,7 @@ class PlainLabelMap:
         return _new(Payload, (bytes(buf[start:end]), int.from_bytes(buf[end:end + 4], "little")))
 
     def update_value(self, nid: int, value: int) -> None:
-        buf = self._refs[nid]
+        buf = self._refs[nid] if nid < len(self._refs) else None
         if buf is None or len(buf) < 4:
             raise ContractViolation(f"id {nid} has no keyword record")
         buf[-4:] = value.to_bytes(4, "little")
@@ -99,7 +112,8 @@ class PlainLabelMap:
         """Move every record to its new id.
 
         remap is indexed by old id and holds -1 where no node was, as
-        _HashTrie._refill builds it; a record there is corruption.
+        _HashTrie._refill builds it; a record there, or two records sent to
+        one new id, is corruption and leaves the map as it was.
         """
         moved: list[bytearray | None] = [None] * new_capacity
         for old, buf in enumerate(self._refs):
@@ -107,12 +121,10 @@ class PlainLabelMap:
                 new = remap[old]
                 if new < 0:
                     raise CorruptionError(f"id {old} has a record but no new id")
+                if moved[new] is not None:
+                    raise CorruptionError(f"two records map to new id {new}")
                 moved[new] = buf
         self._refs = moved
-
-    def ensure_capacity(self, capacity: int) -> None:
-        if capacity > len(self._refs):
-            self._refs.extend([None] * (capacity - len(self._refs)))
 
     def iter_items(self):
         for nid, buf in enumerate(self._refs):
@@ -127,7 +139,7 @@ class PlainLabelMap:
         return total
 
 
-class SparseLabelMapBonsai:
+class SparseLabelMapBonsai(_LabelMap):
     """Bucketed label map for slot-addressed ids, with an occupancy bitmap.
 
     A record's position inside its bucket is the rank of its id among the
@@ -147,27 +159,23 @@ class SparseLabelMapBonsai:
         self._bits = BitVector(capacity)
 
     def _insert(self, nid: int, record: bytes) -> None:
-        if self._bits.get(nid):
+        words = self._bits._words
+        bit = nid & 63
+        word = words[nid >> 6]
+        if (word >> bit) & 1:
             raise ContractViolation("id already has a record")
         g = nid >> self._shift
-        base = g << self._shift
         buf = self._groups[g]
         if buf is None:
             self._groups[g] = bytearray(record)
         else:
-            chunk = self._bits.chunk(base, self._ell)
-            before = (chunk & ((1 << (nid - base)) - 1)).bit_count()
-            pos = _skip_records(buf, 0, before)
+            # set bits of the group below nid, as in _record
+            rank = ((word & ((1 << bit) - 1)) >> (bit & self._group_floor)).bit_count()
+            pos = _skip_records(buf, 0, rank)
             # a fresh exact-size buffer: an in-place insert would leave the
             # bytearray over-allocated
             self._groups[g] = buf[:pos] + record + buf[pos:]
-        self._bits.set_true(nid)
-
-    def associate(self, nid: int, label: bytes, value: int) -> None:
-        self._insert(nid, _encode_record(label, value))
-
-    def associate_step(self, nid: int) -> None:
-        self._insert(nid, _STEP_RECORD)
+        words[nid >> 6] = word | (1 << bit)
 
     def _record(self, nid: int, new_value: int | None = None) -> Payload | None:
         """Decode nid's record, or overwrite its value with new_value.
@@ -218,51 +226,39 @@ class SparseLabelMapBonsai:
         """Move every record to its new id.
 
         remap is indexed by old id and holds -1 where no node was, as
-        _HashTrie._refill builds it. Inverting it once gives each new id's
-        old id, so every new group is built in one pass: its records are
-        sliced out of their old groups in id order and joined into one
-        exact-size buffer, with no per-record object outliving its group.
+        _HashTrie._refill builds it. Each old group is read once, and each
+        of its records is inserted at its new id into a fresh map, whose
+        storage replaces this one only after every record has moved. A
+        record with no new id, or two records sent to one, is corruption
+        and leaves the map as it was.
         """
+        fresh = SparseLabelMapBonsai(new_capacity, self._ell)
+        insert = fresh._insert
         shift = self._shift
-        ell = self._ell
-        floor = self._group_floor
-        old_words = self._bits._words
-        old_groups = self._groups
-        inv = array("q", [-1]) * new_capacity
-        for old, new in enumerate(remap):
-            if new >= 0:
-                inv[new] = old
-        bits = BitVector(new_capacity)
-        words = bits._words
-        groups: list[bytearray | None] = [None] * -(-new_capacity >> shift)
-        join = bytearray().join
-        moved = 0
-        for g in range(len(groups)):
+        words = self._bits._words
+        ones = (1 << self._ell) - 1
+        for g, buf in enumerate(self._groups):
+            if buf is None:
+                continue
             base = g << shift
-            parts = []
-            for nid, old in enumerate(inv[base:base + ell], base):
-                if old < 0:
-                    continue
-                word = old_words[old >> 6]
-                bit = old & 63
-                if not (word >> bit) & 1:
-                    continue  # a node with no record yet
-                # set bits of old's group below it, as in _record
-                rank = ((word & ((1 << bit) - 1)) >> (bit & floor)).bit_count()
-                buf = old_groups[old >> shift]
-                pos = _skip_records(buf, 0, rank)
-                parts.append(buf[pos:_skip_records(buf, pos, 1)])
-                words[nid >> 6] |= 1 << (nid & 63)
-            if parts:
-                groups[g] = join(parts)
-                moved += len(parts)
-        # a record whose id maps to -1, or to a new id another record took,
-        # is never reached from inv
-        if moved != sum(map(int.bit_count, old_words)):
-            raise CorruptionError("remap did not give every record its own new id")
-        self._capacity = new_capacity
-        self._groups = groups
-        self._bits = bits
+            live = (words[base >> 6] >> (base & 63)) & ones
+            pos = 0
+            while live:
+                low = live & -live
+                old = base + low.bit_length() - 1
+                new = remap[old]
+                if new < 0:
+                    raise CorruptionError(f"id {old} has a record but no new id")
+                end = _skip_records(buf, pos, 1)
+                try:
+                    insert(new, buf[pos:end])
+                except ContractViolation:
+                    raise CorruptionError(f"two records map to new id {new}") from None
+                pos = end
+                live ^= low
+        self._capacity = fresh._capacity
+        self._groups = fresh._groups
+        self._bits = fresh._bits
 
     def iter_items(self):
         for nid in self._bits.iter_set():
@@ -276,7 +272,7 @@ class SparseLabelMapBonsai:
         return total
 
 
-class SparseLabelMapFK:
+class SparseLabelMapFK(_LabelMap):
     """Bucketed label map for dense ids assigned in insertion order.
 
     Ids arrive contiguously, so each new record is appended to the last
@@ -291,7 +287,7 @@ class SparseLabelMapFK:
         self._groups: list[bytearray] = []
         self._count = 0
 
-    def _append(self, nid: int, record: bytes) -> None:
+    def _insert(self, nid: int, record: bytes) -> None:
         if nid != self._count:
             raise ContractViolation(f"dense ids must arrive in order, expected {self._count}")
         g = nid >> self._shift
@@ -301,12 +297,6 @@ class SparseLabelMapFK:
             # a fresh exact-size buffer: += would over-allocate it
             self._groups[g] = self._groups[g] + record
         self._count += 1
-
-    def associate(self, nid: int, label: bytes, value: int) -> None:
-        self._append(nid, _encode_record(label, value))
-
-    def associate_step(self, nid: int) -> None:
-        self._append(nid, _STEP_RECORD)
 
     def _record(self, nid: int, new_value: int | None = None) -> Payload | None:
         """Decode nid's record, or overwrite its value with new_value.
@@ -350,9 +340,6 @@ class SparseLabelMapFK:
     def update_value(self, nid: int, value: int) -> None:
         self._record(nid, value)
 
-    def ensure_capacity(self, capacity: int) -> None:
-        pass  # buckets extend on demand
-
     def iter_items(self):
         for nid in range(self._count):
             yield nid, self.access(nid)
@@ -367,7 +354,7 @@ class SparseLabelMapFK:
 def make_label_map(config, family: str):
     """Build the label map matching a backend family ('bonsai' or 'fk')."""
     if config.label_map == "plm":
-        return PlainLabelMap(config.initial_capacity)
+        return PlainLabelMap(config.initial_capacity if family == "bonsai" else 0)
     if family == "bonsai":
         return SparseLabelMapBonsai(config.initial_capacity, config.group_size)
     return SparseLabelMapFK(config.group_size)

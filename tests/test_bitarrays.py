@@ -62,15 +62,6 @@ def test_bitvector_basics():
     assert list(bv.iter_set()) == [0, 64, 129]
 
 
-def test_bitvector_chunk_reads_one_word():
-    bv = BitVector(128)
-    for i in (3, 5, 64, 66):
-        bv.set_true(i)
-    assert bv.chunk(0, 8) == 0b00101000
-    assert bv.chunk(64, 4) == 0b0101
-    assert bv.chunk(120, 8) == 0
-
-
 def test_bitvector_iter_set_matches_model():
     rng = random.Random(5)
     bv = BitVector(1000)

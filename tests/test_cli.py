@@ -21,11 +21,16 @@ def test_load_corpus_counts(tmp_path):
     path.write_bytes(b"alpha\r\nbeta\n\nal\x00pha\nbeta\nalpha\n\n")
     keys, counts = load_corpus(path)
     assert keys == [b"alpha", b"beta", b"beta", b"alpha"]
-    assert counts == {"lines_blank": 3, "lines_invalid": 1, "lines_duplicate": 0}
+    assert counts == {"lines_blank": 2, "lines_invalid": 1, "lines_duplicate": 0}
 
     keys, counts = load_corpus(path, dedupe=True)
     assert keys == [b"alpha", b"beta"]
     assert counts["lines_duplicate"] == 2
+
+    # the newline that ends the last line does not start a blank one
+    path.write_bytes(b"alpha\nbeta\n")
+    keys, counts = load_corpus(path)
+    assert keys == [b"alpha", b"beta"] and counts["lines_blank"] == 0
 
 
 def test_shuffle_is_seeded_permutation():

@@ -1,6 +1,7 @@
 """Dictionary behavior: decomposition shape, CRUD semantics, determinism."""
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import TECH_WORDS, random_words, synthetic_urls
 from dynpdt import Config, Dictionary, InvalidKeyword, NO_VALUE, ResourceExhausted
 from dynpdt.core import REPRS
+from dynpdt.nlm import SparseLabelMapBonsai
 from oracles import OracleDictionary
 
 
@@ -172,6 +174,8 @@ def test_growth_mid_build(combo, small_words):
             assert d.insert(w, i) is True
         assert d.growth_events >= 4
         assert d.capacity >= 16 * 2**4
+        if combo in (("pfkt", "plm"), ("cfkt", "plm")):
+            assert len(d._nlm._refs) == d.node_count  # one reference per id
         for i, w in enumerate(small_words):
             assert d.lookup(w) == i
         assert sorted(d.items()) == sorted((w, i) for i, w in enumerate(small_words))
@@ -248,7 +252,7 @@ def test_mixed_ops_match_oracle(combo):
     assert sorted(d.items()) == sorted(oracle.items())
 
 
-@pytest.mark.parametrize("nlm, bound", [("slm", 4.0), ("plm", 1.0)])
+@pytest.mark.parametrize("nlm, bound", [("slm", 2.5), ("plm", 1.0)])
 @pytest.mark.parametrize("repr_", ["pbt", "cbt"])
 def test_growth_peak_is_bounded(repr_, nlm, bound):
     # a doubling of a slot-id table moves every node and label record; what
@@ -273,6 +277,30 @@ def test_growth_peak_is_bounded(repr_, nlm, bound):
                 ratios.append(peak / before)
         assert len(ratios) >= 3
         assert max(ratios) <= bound, ratios
+
+
+@pytest.mark.parametrize("repr_", ["pbt", "cbt"])
+def test_slm_groups_are_canonical_after_growth(repr_):
+    # the groups a remap leaves behind are the ones inserting the same
+    # records afresh builds, whatever the order, down to the allocation
+    d = make(repr_, "slm", capacity=16)
+    for i, w in enumerate(random_words(2500, seed=8)):
+        d.insert(w, i)
+    assert d.growth_events >= 8
+    records = list(d._nlm.iter_items())
+    random.Random(8).shuffle(records)
+    fresh = SparseLabelMapBonsai(d.capacity, d.config.group_size)
+    for nid, p in records:
+        if p.value is None:
+            fresh.associate_step(nid)
+        else:
+            fresh.associate(nid, p.label, p.value)
+    assert len(d._nlm._groups) == len(fresh._groups)
+    for got, want in zip(d._nlm._groups, fresh._groups):
+        if want is None:
+            assert got is None
+        else:
+            assert got == want and sys.getsizeof(got) == sys.getsizeof(want)
 
 
 @pytest.mark.parametrize("repr_", REPRS)

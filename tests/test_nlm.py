@@ -155,15 +155,22 @@ def test_remap_moves_everything():
     lambda: SparseLabelMapBonsai(64, 16),
 ])
 def test_remap_rejects_an_unmapped_record(make):
-    # read as an index, the -1 left at id 9 would name the last new slot
+    # read as an index, the -1 left at id 9 would name the last new slot;
+    # a new id given twice would silently drop one of its two records
     m = make()
     for nid in (3, 9, 40):
         m.associate(nid, b"ab", nid)
-    remap = array("q", [-1]) * 64
-    remap[3] = 70
-    remap[40] = 126
-    with pytest.raises(CorruptionError):
-        m.remap(remap, 128)
+    for new_of_9 in (-1, 126):
+        remap = array("q", [-1]) * 64
+        remap[3] = 70
+        remap[9] = new_of_9
+        remap[40] = 126
+        with pytest.raises(CorruptionError):
+            m.remap(remap, 128)
+        for nid in (3, 9, 40):  # a refused remap leaves every record in place
+            got = m.access(nid)
+            assert (got.label, got.value) == (b"ab", nid)
+        assert [nid for nid, _ in m.iter_items()] == [3, 9, 40]
 
 
 def test_fk_is_append_only():
@@ -174,7 +181,6 @@ def test_fk_is_append_only():
         assert m.access(nid).value == nid
     with pytest.raises(Exception):
         m.associate(25, b"gap", 1)  # id 20 was never assigned
-    m.ensure_capacity(1 << 12)  # a no-op, dense storage grows by itself
 
 
 @pytest.mark.parametrize("ell", [16, 64])
@@ -193,7 +199,9 @@ def test_fk_group_buffers_exact_size(ell):
 def test_factory_wires_families():
     cfg = Config(label_map="plm")
     assert isinstance(make_label_map(cfg, "bonsai"), PlainLabelMap)
-    assert isinstance(make_label_map(cfg, "fk"), PlainLabelMap)
+    dense = make_label_map(cfg, "fk")
+    assert isinstance(dense, PlainLabelMap)
+    assert dense._refs == []  # dense ids append their references
     cfg = Config(label_map="slm")
     assert isinstance(make_label_map(cfg, "bonsai"), SparseLabelMapBonsai)
     assert isinstance(make_label_map(cfg, "fk"), SparseLabelMapFK)
