@@ -1,6 +1,6 @@
 """Node label maps: node id -> (label suffix, payload value).
 
-Records are byte buffers laid out as
+Records are immutable, exact-size bytes objects laid out as
 
     VByte(stored length + 1) | label bytes | 4-byte little-endian value
 
@@ -9,14 +9,15 @@ keeps a field value of 0 free to mark step nodes, whose records are the
 single byte 0x00 and carry no value. Without the shift a step record would
 be indistinguishable from a keyword whose remaining suffix is empty.
 
-Two layouts are provided. The plain map holds one buffer reference per node
+Two layouts are provided. The plain map holds one record reference per node
 id. The sparse map packs records for a bucket of group_size consecutive ids
-into one shared buffer; locating a record skips over its predecessors using
-the VByte lengths. Slot-addressed backends pair the sparse map with an
+into one shared bytes object; locating a record skips over its predecessors
+using the VByte lengths. Slot-addressed backends pair the sparse map with an
 occupancy bitmap and rank queries, while dense-id backends allocate ids
 contiguously so the rank is just id modulo group_size.
 
-Every map places records through its own _insert(nid, record). Dense ids
+Every map places records through its own _insert(nid, record), and an
+update_value replaces the record or group with a rebuilt one. Dense ids
 are stable under growth, so their maps only extend as ids arrive. Slot ids
 move when the table doubles: the plain map then moves its references, and
 the sparse map re-inserts each record at its new id into a fresh map.
@@ -69,14 +70,14 @@ class _LabelMap:
 
 
 class PlainLabelMap(_LabelMap):
-    """One owned buffer per node id, indexed by a reference table.
+    """One record per node id, indexed by a reference table.
 
     Slot-addressed backends size the table to their capacity; dense-id
     backends start it empty and append one reference per new id.
     """
 
     def __init__(self, capacity: int) -> None:
-        self._refs: list[bytearray | None] = [None] * capacity
+        self._refs: list[bytes | None] = [None] * capacity
 
     def _insert(self, nid: int, record: bytes) -> None:
         refs = self._refs
@@ -84,7 +85,7 @@ class PlainLabelMap(_LabelMap):
             refs.append(None)  # the next dense id
         elif refs[nid] is not None:
             raise ContractViolation("id already has a record")
-        refs[nid] = bytearray(record)
+        refs[nid] = record
 
     def access(self, nid: int) -> Payload | None:
         refs = self._refs
@@ -100,13 +101,13 @@ class PlainLabelMap(_LabelMap):
         if field == 0:
             return _STEP
         end = start + field - 1
-        return _new(Payload, (bytes(buf[start:end]), int.from_bytes(buf[end:end + 4], "little")))
+        return _new(Payload, (buf[start:end], int.from_bytes(buf[end:end + 4], "little")))
 
     def update_value(self, nid: int, value: int) -> None:
         buf = self._refs[nid] if nid < len(self._refs) else None
         if buf is None or len(buf) < 4:
             raise ContractViolation(f"id {nid} has no keyword record")
-        buf[-4:] = value.to_bytes(4, "little")
+        self._refs[nid] = buf[:-4] + value.to_bytes(4, "little")
 
     def remap(self, remap, new_capacity: int) -> None:
         """Move every record to its new id.
@@ -115,7 +116,7 @@ class PlainLabelMap(_LabelMap):
         _HashTrie._refill builds it; a record there, or two records sent to
         one new id, is corruption and leaves the map as it was.
         """
-        moved: list[bytearray | None] = [None] * new_capacity
+        moved: list[bytes | None] = [None] * new_capacity
         for old, buf in enumerate(self._refs):
             if buf is not None:
                 new = remap[old]
@@ -155,7 +156,7 @@ class SparseLabelMapBonsai(_LabelMap):
         self._group_floor = ~(group_size - 1)  # bit & floor: first bit of its group
         self._capacity = capacity
         # rounded up: a table smaller than one group still needs that group
-        self._groups: list[bytearray | None] = [None] * -(-capacity >> self._shift)
+        self._groups: list[bytes | None] = [None] * -(-capacity >> self._shift)
         self._bits = BitVector(capacity)
 
     def _insert(self, nid: int, record: bytes) -> None:
@@ -167,18 +168,16 @@ class SparseLabelMapBonsai(_LabelMap):
         g = nid >> self._shift
         buf = self._groups[g]
         if buf is None:
-            self._groups[g] = bytearray(record)
+            self._groups[g] = record
         else:
             # set bits of the group below nid, as in _record
             rank = ((word & ((1 << bit) - 1)) >> (bit & self._group_floor)).bit_count()
             pos = _skip_records(buf, 0, rank)
-            # a fresh exact-size buffer: an in-place insert would leave the
-            # bytearray over-allocated
             self._groups[g] = buf[:pos] + record + buf[pos:]
         words[nid >> 6] = word | (1 << bit)
 
     def _record(self, nid: int, new_value: int | None = None) -> Payload | None:
-        """Decode nid's record, or overwrite its value with new_value.
+        """Decode nid's record, or rewrite it with new_value as its value.
 
         This is access() when new_value is None and update_value()
         otherwise, so both find records through the same code. One frame:
@@ -192,7 +191,8 @@ class SparseLabelMapBonsai(_LabelMap):
             raise ContractViolation(f"id {nid} has no record")
         # set bits of the group below nid; the group never straddles a word
         rank = ((word & ((1 << bit) - 1)) >> (bit & self._group_floor)).bit_count()
-        buf = self._groups[nid >> self._shift]
+        g = nid >> self._shift
+        buf = self._groups[g]
         pos = 0
         while rank:
             field = buf[pos]
@@ -213,8 +213,8 @@ class SparseLabelMapBonsai(_LabelMap):
             raise ContractViolation("step records carry no value")
         end = start + field - 1
         if new_value is None:
-            return _new(Payload, (bytes(buf[start:end]), int.from_bytes(buf[end:end + 4], "little")))
-        buf[end:end + 4] = new_value.to_bytes(4, "little")
+            return _new(Payload, (buf[start:end], int.from_bytes(buf[end:end + 4], "little")))
+        self._groups[g] = buf[:end] + new_value.to_bytes(4, "little") + buf[end + 4:]
         return None
 
     access = _record
@@ -284,7 +284,7 @@ class SparseLabelMapFK(_LabelMap):
             raise ContractViolation("group_size must divide 64")
         self._ell = group_size
         self._shift = group_size.bit_length() - 1
-        self._groups: list[bytearray] = []
+        self._groups: list[bytes] = []
         self._count = 0
 
     def _insert(self, nid: int, record: bytes) -> None:
@@ -292,14 +292,13 @@ class SparseLabelMapFK(_LabelMap):
             raise ContractViolation(f"dense ids must arrive in order, expected {self._count}")
         g = nid >> self._shift
         if g == len(self._groups):
-            self._groups.append(bytearray(record))
+            self._groups.append(record)
         else:
-            # a fresh exact-size buffer: += would over-allocate it
             self._groups[g] = self._groups[g] + record
         self._count += 1
 
     def _record(self, nid: int, new_value: int | None = None) -> Payload | None:
-        """Decode nid's record, or overwrite its value with new_value.
+        """Decode nid's record, or rewrite it with new_value as its value.
 
         This is access() when new_value is None and update_value()
         otherwise, so both find records through the same code. One frame:
@@ -309,7 +308,8 @@ class SparseLabelMapFK(_LabelMap):
             if new_value is None:
                 return None
             raise ContractViolation(f"id {nid} has no record")
-        buf = self._groups[nid >> self._shift]
+        g = nid >> self._shift
+        buf = self._groups[g]
         rank = nid & (self._ell - 1)
         pos = 0
         while rank:
@@ -331,8 +331,8 @@ class SparseLabelMapFK(_LabelMap):
             raise ContractViolation("step records carry no value")
         end = start + field - 1
         if new_value is None:
-            return _new(Payload, (bytes(buf[start:end]), int.from_bytes(buf[end:end + 4], "little")))
-        buf[end:end + 4] = new_value.to_bytes(4, "little")
+            return _new(Payload, (buf[start:end], int.from_bytes(buf[end:end + 4], "little")))
+        self._groups[g] = buf[:end] + new_value.to_bytes(4, "little") + buf[end + 4:]
         return None
 
     access = _record

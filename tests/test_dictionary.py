@@ -116,17 +116,20 @@ def test_delete_and_revive(combo):
     for i, w in enumerate(TECH_WORDS):
         d.insert(w, i)
     nodes_before = d.node_count
+    memory_before = d.memory_bytes()
     assert d.delete(b"technique") is True
     assert d.lookup(b"technique") is None
     assert b"technique" not in d
     assert len(d) == 3
     assert d.delete(b"technique") is False
     assert d.node_count == nodes_before  # node stays, value cleared
+    assert d.memory_bytes() == memory_before  # the rewritten record is exact-size
 
     assert d.insert(b"technique", 99) is True
     assert d.lookup(b"technique") == 99
     assert len(d) == 4
     assert d.node_count == nodes_before
+    assert d.memory_bytes() == memory_before
 
 
 def test_insert_present_keeps_old_value():

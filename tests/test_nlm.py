@@ -1,5 +1,4 @@
 import random
-import sys
 from array import array
 
 import pytest
@@ -183,17 +182,74 @@ def test_fk_is_append_only():
         m.associate(25, b"gap", 1)  # id 20 was never assigned
 
 
+def stored_buffers(m):
+    return [buf for buf in (m._refs if isinstance(m, PlainLabelMap) else m._groups)
+            if buf is not None]
+
+
 @pytest.mark.parametrize("ell", [16, 64])
-def test_fk_group_buffers_exact_size(ell):
-    # appending must not leave a group's bytearray over-allocated
-    m = SparseLabelMapFK(ell)
+def test_records_are_exact_size_bytes(ell):
+    # every record and group is an immutable bytes object, so it holds its
+    # data inline at exactly its length, through inserts, value rewrites and
+    # growth alike
+    long_label = b"L" * 200  # stored length 201: a two-byte VByte field
+    slot_plain, dense_plain = PlainLabelMap(64), PlainLabelMap(0)
+    bonsai, fk = SparseLabelMapBonsai(64, ell), SparseLabelMapFK(ell)
+    maps = [slot_plain, dense_plain, bonsai, fk]
+    model = {nid: (b"", None) if nid % 5 == 4 else
+             (long_label if nid == 17 else b"w" * (nid % 9), nid) for nid in range(40)}
+    for nid, (label, value) in model.items():
+        for m in maps:
+            if value is None:
+                m.associate_step(nid)
+            else:
+                m.associate(nid, label, value)
+    for nid in (0, 17, 21, 38):
+        for m in maps:
+            m.update_value(nid, NO_VALUE)
+            m.update_value(nid, 1000 + nid)
+        model[nid] = (model[nid][0], 1000 + nid)
+    for m in maps:
+        assert all(type(buf) is bytes for buf in stored_buffers(m))
+        assert {n: (p.label, p.value) for n, p in m.iter_items()} == model
+    remap = array("q", [-1]) * 64
     for nid in range(40):
-        if nid % 5 == 4:
+        remap[nid] = 127 - 2 * nid
+    moved = {127 - 2 * nid: want for nid, want in model.items()}
+    for m in (slot_plain, bonsai):
+        m.remap(remap, 128)
+        assert all(type(buf) is bytes for buf in stored_buffers(m))
+        assert {n: (p.label, p.value) for n, p in m.iter_items()} == moved
+    for nid in (127, 93):  # ids 0 and 17 before the remap
+        bonsai.update_value(nid, 7)
+        slot_plain.update_value(nid, 7)
+    assert all(type(buf) is bytes for m in maps for buf in stored_buffers(m))
+
+
+@pytest.mark.parametrize("make, ids", [
+    # slot ids leave gaps, so a record's rank differs from its id's offset
+    (lambda: SparseLabelMapBonsai(64, 16), [1, 2, 4, 6, 9, 11, 14]),
+    (lambda: SparseLabelMapFK(16), list(range(16))),
+], ids=["bonsai", "fk"])
+def test_update_value_inside_shared_group(make, ids):
+    m = make()
+    step, long_id = ids[1], ids[-2]
+    want = {}
+    for nid in ids + [16, 17]:  # 16 and 17 open the next group
+        if nid == step:
             m.associate_step(nid)
+            want[nid] = (b"", None)
         else:
-            m.associate(nid, b"w" * (nid % 9), nid)
-    for buf in m._groups:
-        assert sys.getsizeof(buf) == sys.getsizeof(bytearray(buf))
+            label = b"x" * 200 if nid == long_id else bytes([97 + nid % 26]) * (nid % 5)
+            m.associate(nid, label, nid)
+            want[nid] = (label, nid)
+    size = len(m._groups[0])
+    for nid in (ids[0], ids[len(ids) // 2], ids[-1], long_id):  # first, middle, last rank
+        for value in (NO_VALUE, 500 + nid):
+            m.update_value(nid, value)
+            want[nid] = (want[nid][0], value)
+            assert len(m._groups[0]) == size
+            assert {n: (p.label, p.value) for n, p in m.iter_items()} == want
 
 
 def test_factory_wires_families():
