@@ -78,8 +78,9 @@ class Config:
     """Construction parameters for a dictionary.
 
     offset_limit caps the offset component of edge codes (larger values mean
-    fewer step nodes but a wider symbol space). group_size is the sparse
-    label map's bucket width.
+    fewer step nodes but a wider symbol space). label_map picks the label
+    groups' width: slm groups group_size consecutive ids per bytes object,
+    and plm is the same map at a width of 1, one record per node.
     """
 
     trie_repr: str = "cbt"

@@ -46,7 +46,7 @@ class Dictionary:
         self._lam_bits = self._lam.bit_length() - 1
         self._step_code = self._config.step_code
         self._backend = make_backend(self._config, self._on_grow)
-        self._nlm = make_label_map(self._config, self._backend.family)
+        self._nlm = make_label_map(self._config)
         self._live = 0
 
     def _on_grow(self, remap, new_capacity: int) -> None:

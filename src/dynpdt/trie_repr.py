@@ -158,8 +158,6 @@ class _HashTrie:
     order, and ``_is_live(u)`` tells whether u names a node.
     """
 
-    family = "bonsai"
-
     def __init__(self, config: Config, on_grow=None) -> None:
         self._sym_bits = config.symbol_bits
         self._sym_space = config.symbol_space
@@ -423,8 +421,6 @@ class _DenseIdMixin:
     A slot-to-id array answers getchild; an id-to-slot array answers
     parent_edge and keeps ids stable while slots move under growth.
     """
-
-    family = "fk"
 
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)

@@ -9,7 +9,7 @@ import pytest
 from conftest import TECH_WORDS, random_words, synthetic_urls
 from dynpdt import Config, Dictionary, InvalidKeyword, NO_VALUE, ResourceExhausted
 from dynpdt.core import REPRS
-from dynpdt.nlm import SparseLabelMapBonsai
+from dynpdt.nlm import LabelMap
 from oracles import OracleDictionary
 
 
@@ -178,7 +178,7 @@ def test_growth_mid_build(combo, small_words):
         assert d.growth_events >= 4
         assert d.capacity >= 16 * 2**4
         if combo in (("pfkt", "plm"), ("cfkt", "plm")):
-            assert len(d._nlm._refs) == d.node_count  # one reference per id
+            assert len(d._nlm._groups) == d.node_count  # one record per id
         for i, w in enumerate(small_words):
             assert d.lookup(w) == i
         assert sorted(d.items()) == sorted((w, i) for i, w in enumerate(small_words))
@@ -292,18 +292,18 @@ def test_slm_groups_are_canonical_after_growth(repr_):
     assert d.growth_events >= 8
     records = list(d._nlm.iter_items())
     random.Random(8).shuffle(records)
-    fresh = SparseLabelMapBonsai(d.capacity, d.config.group_size)
+    fresh = LabelMap(d.config.group_size)
     for nid, p in records:
         if p.value is None:
             fresh.associate_step(nid)
         else:
             fresh.associate(nid, p.label, p.value)
-    assert len(d._nlm._groups) == len(fresh._groups)
+    # fresh ends at its last record; the remapped map spans the capacity
+    assert len(d._nlm._groups) == -(-d.capacity // d.config.group_size)
+    tail = d._nlm._groups[len(fresh._groups):]
+    assert all(got is d._nlm._empty for got in tail)
     for got, want in zip(d._nlm._groups, fresh._groups):
-        if want is None:
-            assert got is None
-        else:
-            assert got == want and sys.getsizeof(got) == sys.getsizeof(want)
+        assert got == want and sys.getsizeof(got) == sys.getsizeof(want)
 
 
 @pytest.mark.parametrize("repr_", REPRS)

@@ -1,55 +1,69 @@
 import random
+import sys
 from array import array
 
 import pytest
-
-from dynpdt.core import Config, ContractViolation, CorruptionError, NO_VALUE
-from dynpdt.nlm import (
-    PlainLabelMap,
-    SparseLabelMapBonsai,
-    SparseLabelMapFK,
-    make_label_map,
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
 )
 
+from dynpdt import Dictionary
+from dynpdt.core import REPRS, Config, ContractViolation, CorruptionError, NO_VALUE
+from dynpdt.nlm import LabelMap, make_label_map
 
-def bonsai_maps(capacity=256, ell=16):
-    return [PlainLabelMap(capacity), SparseLabelMapBonsai(capacity, ell)]
+ELLS = (1, 8, 16, 64)  # plm's one record per group, and three slm widths
+MAKERS = [lambda ell=ell: LabelMap(ell) for ell in ELLS]
+# slot tables (pbt, cbt) hand out ids with gaps and in any order; dense-id
+# tables (pfkt, cfkt) hand them out contiguously, in order
+GAPPED = [40, 3, 17, 0, 63, 5, 9, 4]
+DENSE = list(range(12))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: PlainLabelMap(256),
-    lambda: SparseLabelMapBonsai(256, 16),
-    lambda: SparseLabelMapFK(16),
-])
+def records(m):
+    return {n: (p.label, p.value) for n, p in m.iter_items()}
+
+
+@pytest.mark.parametrize("make", MAKERS)
 def test_roundtrip_labels_and_values(make):
-    m = make()
-    rows = [(0, b"technology", 7), (1, b"cs", 0), (2, b"ue", NO_VALUE - 1),
-            (3, b"lly", 123456), (5, b"cal", 99)]
-    for nid, label, value in rows:
-        if nid == 5 and isinstance(m, SparseLabelMapFK):
-            m.associate_step(4)  # dense maps demand contiguous ids
-        m.associate(nid, label, value)
-    if not isinstance(m, SparseLabelMapFK):
-        m.associate_step(4)
-    for nid, label, value in rows:
-        got = m.access(nid)
-        assert (got.label, got.value) == (label, value)
-    step = m.access(4)
-    assert step.label == b"" and step.value is None
+    for ids in (GAPPED, DENSE):
+        m = make()
+        want = {}
+        for i, nid in enumerate(ids):
+            if i % 4 == 3:
+                m.associate_step(nid)
+                want[nid] = (b"", None)
+            else:
+                want[nid] = (bytes([97 + i]) * (i * 3 % 11), [7, 0, NO_VALUE - 1, 123456][i % 4])
+                m.associate(nid, *want[nid])
+        for nid, (label, value) in want.items():
+            got = m.access(nid)
+            assert (got.label, got.value) == (label, value)
+        assert records(m) == want
+        assert [nid for nid, _ in m.iter_items()] == sorted(want)
 
 
-@pytest.mark.parametrize("length", [0, 1, 126, 127, 128, 300])
+@pytest.mark.parametrize("length", [0, 1, 125, 126, 127, 128, 300])
 def test_label_length_field_boundaries(length):
-    # the length prefix stores len+1, so 127 is the first two-byte field
+    # the length field stores len+2, so 126 is the first two-byte field
     label = bytes((i % 255) + 1 for i in range(length))
-    for m in bonsai_maps(capacity=16):
+    for ell in ELLS:
+        m = LabelMap(ell)
         m.associate(3, label, 42)
         got = m.access(3)
         assert got.label == label and got.value == 42
+    plain = LabelMap(1)
+    plain.associate(0, label, 42)
+    assert len(plain._groups[0]) == (1 if length < 126 else 2) + length + 4
 
 
 def test_empty_label_is_not_a_step():
-    for m in bonsai_maps():
+    for ell in ELLS:
+        m = LabelMap(ell)
         m.associate(0, b"", 5)
         m.associate_step(1)
         assert m.access(0).value == 5
@@ -57,13 +71,37 @@ def test_empty_label_is_not_a_step():
 
 
 def test_access_absent_returns_none():
-    for m in bonsai_maps():
-        assert m.access(7) is None
-    assert SparseLabelMapFK(8).access(0) is None
+    for ell in ELLS:
+        m = LabelMap(ell)
+        assert m.access(0) is None and m.access(7) is None  # nothing written yet
+        m.associate(70, b"x", 1)
+        assert m.access(69) is None and m.access(71) is None
+        assert m.access(1000) is None  # past the last group
+
+
+@pytest.mark.parametrize("ell", ELLS)
+def test_unwritten_ids_and_second_writes(ell):
+    # a group written out of order holds unwritten ids between its records
+    m = LabelMap(ell)
+    written = {6: (b"six", 6), 2: (b"", None), 5: (b"five", 5)}
+    m.associate(6, b"six", 6)
+    m.associate_step(2)
+    m.associate(5, b"five", 5)
+    for nid in (0, 3, 4, 7):
+        assert m.access(nid) is None
+        with pytest.raises(ContractViolation):
+            m.update_value(nid, 1)
+    for nid in written:
+        with pytest.raises(ContractViolation):
+            m.associate(nid, b"again", 1)
+        with pytest.raises(ContractViolation):
+            m.associate_step(nid)
+    assert records(m) == written
 
 
 def test_update_value_in_place():
-    for m in bonsai_maps() + [SparseLabelMapFK(8)]:
+    for ell in ELLS:
+        m = LabelMap(ell)
         m.associate(0, b"abc", 1)
         m.update_value(0, NO_VALUE)
         assert m.access(0).value == NO_VALUE
@@ -80,7 +118,7 @@ def test_update_value_in_place():
 
 def test_group_packing_same_bucket():
     # ids 0..15 share one bucket at ell=16; inserts arrive out of order
-    m = SparseLabelMapBonsai(64, 16)
+    m = LabelMap(16)
     order = [7, 0, 15, 3, 12, 1, 14, 8]
     for nid in order:
         m.associate(nid, bytes([65 + nid]) * nid, nid)
@@ -88,14 +126,14 @@ def test_group_packing_same_bucket():
         got = m.access(nid)
         assert got.label == bytes([65 + nid]) * nid
         assert got.value == nid
+    assert len(m._groups) == 1
 
 
-@pytest.mark.parametrize("ell", [8, 16, 32, 64])
+@pytest.mark.parametrize("ell", [1, 8, 16, 32, 64])
 def test_bonsai_differential(ell):
     rng = random.Random(ell)
     cap = 512
-    m = SparseLabelMapBonsai(cap, ell)
-    plain = PlainLabelMap(cap)
+    m = LabelMap(ell)
     model = {}
     free = list(range(cap))
     rng.shuffle(free)
@@ -104,30 +142,26 @@ def test_bonsai_differential(ell):
             nid = free.pop()
             if rng.random() < 0.2:
                 m.associate_step(nid)
-                plain.associate_step(nid)
                 model[nid] = (b"", None)
             else:
                 label = bytes(rng.choices(range(1, 256), k=rng.randrange(20)))
                 value = rng.randrange(NO_VALUE)
                 m.associate(nid, label, value)
-                plain.associate(nid, label, value)
                 model[nid] = (label, value)
         else:
             nid = rng.randrange(cap)
             want = model.get(nid)
-            for probe in (m, plain):
-                got = probe.access(nid)
-                if want is None:
-                    assert got is None
-                else:
-                    assert (got.label, got.value) == want
-    assert sorted((n, p.label, p.value) for n, p in m.iter_items()) == \
-        sorted((n, l, v) for n, (l, v) in model.items()) == \
-        sorted((n, p.label, p.value) for n, p in plain.iter_items())
+            got = m.access(nid)
+            if want is None:
+                assert got is None
+            else:
+                assert (got.label, got.value) == want
+    assert records(m) == model
 
 
 def test_remap_moves_everything():
-    for m in bonsai_maps(capacity=64):
+    for ell in ELLS:
+        m = LabelMap(ell)
         for nid in range(0, 40, 3):
             m.associate(nid, bytes([nid + 1]) * 3, nid)
         m.associate_step(41)
@@ -145,14 +179,11 @@ def test_remap_moves_everything():
         for nid in range(128):
             if nid not in moved:
                 assert m.access(nid) is None
-        assert sorted((n, p.label, p.value) for n, p in m.iter_items()) == \
-            sorted((n, label, value) for n, (label, value) in moved.items())
+        assert records(m) == moved
+        assert len(m._groups) == 128 // ell  # presized to the new capacity
 
 
-@pytest.mark.parametrize("make", [
-    lambda: PlainLabelMap(64),
-    lambda: SparseLabelMapBonsai(64, 16),
-])
+@pytest.mark.parametrize("make", MAKERS)
 def test_remap_rejects_an_unmapped_record(make):
     # read as an index, the -1 left at id 9 would name the last new slot;
     # a new id given twice would silently drop one of its two records
@@ -172,30 +203,12 @@ def test_remap_rejects_an_unmapped_record(make):
         assert [nid for nid, _ in m.iter_items()] == [3, 9, 40]
 
 
-def test_fk_is_append_only():
-    m = SparseLabelMapFK(8)
-    for nid in range(20):
-        m.associate(nid, b"x" * nid, nid)
-    for nid in range(20):
-        assert m.access(nid).value == nid
-    with pytest.raises(Exception):
-        m.associate(25, b"gap", 1)  # id 20 was never assigned
-
-
-def stored_buffers(m):
-    return [buf for buf in (m._refs if isinstance(m, PlainLabelMap) else m._groups)
-            if buf is not None]
-
-
 @pytest.mark.parametrize("ell", [16, 64])
 def test_records_are_exact_size_bytes(ell):
-    # every record and group is an immutable bytes object, so it holds its
-    # data inline at exactly its length, through inserts, value rewrites and
-    # growth alike
-    long_label = b"L" * 200  # stored length 201: a two-byte VByte field
-    slot_plain, dense_plain = PlainLabelMap(64), PlainLabelMap(0)
-    bonsai, fk = SparseLabelMapBonsai(64, ell), SparseLabelMapFK(ell)
-    maps = [slot_plain, dense_plain, bonsai, fk]
+    # every group is an immutable bytes object, so it holds its data inline
+    # at exactly its length, through inserts, value rewrites and growth alike
+    long_label = b"L" * 200  # length field 202: two VByte bytes
+    maps = [LabelMap(1), LabelMap(ell)]
     model = {nid: (b"", None) if nid % 5 == 4 else
              (long_label if nid == 17 else b"w" * (nid % 9), nid) for nid in range(40)}
     for nid, (label, value) in model.items():
@@ -210,57 +223,67 @@ def test_records_are_exact_size_bytes(ell):
             m.update_value(nid, 1000 + nid)
         model[nid] = (model[nid][0], 1000 + nid)
     for m in maps:
-        assert all(type(buf) is bytes for buf in stored_buffers(m))
-        assert {n: (p.label, p.value) for n, p in m.iter_items()} == model
+        assert all(type(buf) is bytes for buf in m._groups)
+        assert records(m) == model
     remap = array("q", [-1]) * 64
     for nid in range(40):
         remap[nid] = 127 - 2 * nid
     moved = {127 - 2 * nid: want for nid, want in model.items()}
-    for m in (slot_plain, bonsai):
+    for m in maps:
         m.remap(remap, 128)
-        assert all(type(buf) is bytes for buf in stored_buffers(m))
-        assert {n: (p.label, p.value) for n, p in m.iter_items()} == moved
-    for nid in (127, 93):  # ids 0 and 17 before the remap
-        bonsai.update_value(nid, 7)
-        slot_plain.update_value(nid, 7)
-    assert all(type(buf) is bytes for m in maps for buf in stored_buffers(m))
+        assert all(type(buf) is bytes for buf in m._groups)
+        assert records(m) == moved
+        for nid in (127, 93):  # ids 0 and 17 before the remap
+            m.update_value(nid, 7)
+        assert all(type(buf) is bytes for buf in m._groups)
 
 
-@pytest.mark.parametrize("make, ids", [
-    # slot ids leave gaps, so a record's rank differs from its id's offset
-    (lambda: SparseLabelMapBonsai(64, 16), [1, 2, 4, 6, 9, 11, 14]),
-    (lambda: SparseLabelMapFK(16), list(range(16))),
+@pytest.mark.parametrize("ids", [
+    # the id patterns of the two node-table families: slot ids leave gaps,
+    # so a record's rank differs from its id's offset among the records
+    [1, 2, 4, 6, 9, 11, 14],
+    list(range(16)),
 ], ids=["bonsai", "fk"])
-def test_update_value_inside_shared_group(make, ids):
-    m = make()
-    step, long_id = ids[1], ids[-2]
-    want = {}
-    for nid in ids + [16, 17]:  # 16 and 17 open the next group
-        if nid == step:
-            m.associate_step(nid)
-            want[nid] = (b"", None)
-        else:
-            label = b"x" * 200 if nid == long_id else bytes([97 + nid % 26]) * (nid % 5)
-            m.associate(nid, label, nid)
-            want[nid] = (label, nid)
-    size = len(m._groups[0])
-    for nid in (ids[0], ids[len(ids) // 2], ids[-1], long_id):  # first, middle, last rank
-        for value in (NO_VALUE, 500 + nid):
-            m.update_value(nid, value)
-            want[nid] = (want[nid][0], value)
-            assert len(m._groups[0]) == size
-            assert {n: (p.label, p.value) for n, p in m.iter_items()} == want
+def test_update_value_inside_shared_group(ids):
+    for ell in ELLS:
+        m = LabelMap(ell)
+        step, long_id = ids[1], ids[-2]
+        want = {}
+        for nid in ids + [16, 17]:  # 16 and 17 open the next group
+            if nid == step:
+                m.associate_step(nid)
+                want[nid] = (b"", None)
+            else:
+                label = b"x" * 200 if nid == long_id else bytes([97 + nid % 26]) * (nid % 5)
+                m.associate(nid, label, nid)
+                want[nid] = (label, nid)
+        sizes = [len(buf) for buf in m._groups]
+        for nid in (ids[0], ids[len(ids) // 2], ids[-1], long_id):  # first, middle, last rank
+            for value in (NO_VALUE, 500 + nid):
+                m.update_value(nid, value)
+                want[nid] = (want[nid][0], value)
+                assert [len(buf) for buf in m._groups] == sizes
+                assert records(m) == want
 
 
 def test_factory_wires_families():
-    cfg = Config(label_map="plm")
-    assert isinstance(make_label_map(cfg, "bonsai"), PlainLabelMap)
-    dense = make_label_map(cfg, "fk")
-    assert isinstance(dense, PlainLabelMap)
-    assert dense._refs == []  # dense ids append their references
-    cfg = Config(label_map="slm")
-    assert isinstance(make_label_map(cfg, "bonsai"), SparseLabelMapBonsai)
-    assert isinstance(make_label_map(cfg, "fk"), SparseLabelMapFK)
+    assert make_label_map(Config(label_map="plm", group_size=64))._ell == 1
+    for repr_ in REPRS:
+        for group_size in (8, 64):
+            d = Dictionary(Config(trie_repr=repr_, label_map="plm", group_size=group_size))
+            assert d._nlm._ell == 1
+            d = Dictionary(Config(trie_repr=repr_, label_map="slm", group_size=group_size))
+            assert d._nlm._ell == group_size
+
+
+def test_plain_step_records_take_no_space():
+    # at l = 1 a step node's group is the one shared step record
+    m = LabelMap(1)
+    m.associate(0, b"root", 1)
+    labels = m.memory_bytes() - sys.getsizeof(m._groups)
+    for nid in range(1, 101):
+        m.associate_step(nid)
+    assert m.memory_bytes() - sys.getsizeof(m._groups) == labels
 
 
 def test_sparse_beats_plain_on_memory():
@@ -268,10 +291,100 @@ def test_sparse_beats_plain_on_memory():
     rng = random.Random(3)
     rows = [(nid, bytes(rng.choices(range(97, 123), k=rng.randint(2, 14))), nid)
             for nid in range(0, 4096, 2)]
-    plain = PlainLabelMap(4096)
-    narrow = SparseLabelMapBonsai(4096, 8)
-    wide = SparseLabelMapBonsai(4096, 64)
+    plain, narrow, wide = LabelMap(1), LabelMap(8), LabelMap(64)
     for m in (plain, narrow, wide):
         for nid, label, value in rows:
             m.associate(nid, label, value)
     assert wide.memory_bytes() < narrow.memory_bytes() < plain.memory_bytes()
+
+
+class LabelMapMachine(RuleBasedStateMachine):
+    """A LabelMap against a dict model, through every operation and growth."""
+
+    def __init__(self, ell):
+        super().__init__()
+        self.m = LabelMap(ell)
+        self.model = {}
+        self.cap = 16
+
+    # labels from 126 bytes on take a two-byte length field
+    @rule(nid=st.integers(0, 1 << 16),
+          label=st.binary(max_size=12) | st.binary(min_size=120, max_size=140),
+          value=st.integers(0, NO_VALUE - 1))
+    def associate(self, nid, label, value):
+        nid %= self.cap
+        if nid in self.model:
+            with pytest.raises(ContractViolation):
+                self.m.associate(nid, label, value)
+        else:
+            self.m.associate(nid, label, value)
+            self.model[nid] = (label, value)
+
+    @rule(nid=st.integers(0, 1 << 16))
+    def associate_step(self, nid):
+        nid %= self.cap
+        if nid in self.model:
+            with pytest.raises(ContractViolation):
+                self.m.associate_step(nid)
+        else:
+            self.m.associate_step(nid)
+            self.model[nid] = (b"", None)
+
+    @rule(nid=st.integers(0, 1 << 16), value=st.integers(0, NO_VALUE))
+    def update_value(self, nid, value):
+        nid %= self.cap
+        want = self.model.get(nid)
+        if want is None or want[1] is None:
+            with pytest.raises(ContractViolation):
+                self.m.update_value(nid, value)
+        else:
+            self.m.update_value(nid, value)
+            self.model[nid] = (want[0], value)
+
+    @rule(nid=st.integers(0, 1 << 16))
+    def access(self, nid):
+        nid %= 2 * self.cap  # half of these lie past every written id
+        got = self.m.access(nid)
+        want = self.model.get(nid)
+        assert (got if got is None else (got.label, got.value)) == want
+
+    @precondition(lambda self: self.cap < 1024)
+    @rule(data=st.data())
+    def remap(self, data):
+        new_cap = 2 * self.cap
+        new_ids = data.draw(st.permutations(range(new_cap)))[:self.cap]
+        remap = array("q", [new if old in self.model else -1
+                            for old, new in enumerate(new_ids)])
+        self.m.remap(remap, new_cap)
+        self.model = {remap[old]: want for old, want in self.model.items()}
+        self.cap = new_cap
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), collide=st.booleans())
+    def refused_remap(self, data, collide):
+        # one record is left without a new id or sent to another's; the
+        # invariant then finds every record where it was
+        olds = sorted(self.model)
+        remap = array("q", [-1]) * self.cap
+        for new, old in enumerate(olds):
+            remap[old] = new
+        bad = data.draw(st.sampled_from(olds))
+        remap[bad] = remap[olds[0]] if collide and bad != olds[0] else -1
+        with pytest.raises(CorruptionError):
+            self.m.remap(remap, 2 * self.cap)
+
+    @invariant()
+    def records_match(self):
+        assert records(self.m) == self.model
+        for nid, want in self.model.items():
+            got = self.m.access(nid)
+            assert (got.label, got.value) == want
+        assert all(type(buf) is bytes for buf in self.m._groups)
+
+
+@pytest.mark.parametrize("ell", [1, 8, 64])
+def test_label_map_state_machine(ell):
+    run_state_machine_as_test(
+        lambda: LabelMapMachine(ell),
+        settings=settings(derandomize=True, max_examples=40, stateful_step_count=30,
+                          deadline=None))
