@@ -61,7 +61,12 @@ def _labeled_edges_above(d: Dictionary, u: int) -> int:
 
 
 def shape_stats(d: Dictionary) -> ShapeStats:
-    """Census every node by climbing its parent chain."""
+    """Census every node by climbing its parent chain.
+
+    Deletion keeps a keyword's node and only clears its value, so a
+    deleted keyword is still counted here, and deleting leaves the
+    census unchanged.
+    """
     node_count = 0
     step_count = 0
     height_sum = 0
@@ -86,7 +91,9 @@ def nonstep_path_nodes(d: Dictionary, keyword) -> int:
     Every labeled edge consumes at least one byte of the terminated
     keyword (the terminator itself at most once, as the last edge), so
     the edge count is bounded by the terminated length and this node
-    count by the terminated length plus one.
+    count by the terminated length plus one. A deleted keyword keeps its
+    node and is still counted; only a keyword never inserted raises
+    KeyError.
     """
     s = validate_keyword(keyword)
     hit = d._locate(s)

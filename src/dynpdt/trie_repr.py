@@ -9,7 +9,8 @@ interchangeable layouts implement the same contract:
   plus per-slot probe displacements kept in a three-tier side structure
   (the m-Bonsai layout); node ids are slot indices.
 * ``pfkt`` / ``cfkt`` wrap the two layouts above with a dense id space:
-  ids are assigned in creation order and survive growth unchanged.
+  ids are assigned in creation order and survive growth unchanged, held
+  in one slot-to-id array whose inverse parent_edge builds on demand.
 
 All four home key k at the high bits of hv = BijectiveTransform.forward(k);
 the compact layouts store hv's low symbol_bits as the quotient. So ``pbt``
@@ -164,11 +165,10 @@ class _HashTrie:
         self._root_key = config.symbol_space - 1  # reserved code, never a real edge
         self.on_grow = on_grow
         self.growth_events = 0
-        self.node_count = 0
         self._init_storage(config.initial_capacity)
         root_slot = self._place(self._root_key)
         self.node_count = 1
-        self._claim_root(root_slot)
+        self.root_id = self._claim_child(root_slot)
 
     def _init_storage(self, capacity: int) -> None:
         cap_bits = capacity.bit_length() - 1
@@ -178,9 +178,6 @@ class _HashTrie:
         self._cap_bits = cap_bits
         self._cap_mask = capacity - 1
         self._tf = BijectiveTransform(cap_bits + self._sym_bits)
-
-    def _claim_root(self, slot: int) -> None:
-        self.root_id = slot
 
     def _claim_child(self, slot: int) -> int:
         return slot
@@ -416,29 +413,23 @@ class CompactBonsaiTrie(_HashTrie):
 
 
 class _DenseIdMixin:
-    """Dense creation-order ids held beside the slot table.
+    """Dense creation-order ids held in one slot-to-id array.
 
-    A slot-to-id array answers getchild; an id-to-slot array answers
-    parent_edge and keeps ids stable while slots move under growth.
+    The array answers getchild and keeps ids stable while slots move under
+    growth. parent_edge reads its inverse, which the first climb after an
+    addchild or doubling builds in one pass over the used slots; as a
+    derived index, like growth's remap array, memory_bytes leaves it out.
     """
 
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)
-        width = max(1, capacity.bit_length() - 1)
-        self._ids = IntVector(width, capacity)
-        self._slots = IntVector(width, capacity)
-
-    def _claim_root(self, slot: int) -> None:
-        self._ids.set(slot, 0)
-        self._slots.set(0, slot)
-        self._next_id = 1
-        self.root_id = 0
+        self._ids = IntVector(self._cap_bits, capacity)
+        self._inverse = None
 
     def _claim_child(self, slot: int) -> int:
-        nid = self._next_id
+        nid = self.node_count - 1
         self._ids.set(slot, nid)
-        self._slots.set(nid, slot)
-        self._next_id = nid + 1
+        self._inverse = None
         return nid
 
     def getchild(self, u: int, c: int) -> int | None:
@@ -456,10 +447,16 @@ class _DenseIdMixin:
         return v & ids._mask
 
     def _slot_of(self, u: int) -> int:
-        return self._slots.get(u)
+        if self._inverse is None:
+            inverse = IntVector(self._cap_bits, self.node_count)
+            ids = self._ids.get
+            for j in self._used_slots():
+                inverse.set(ids(j), j)
+            self._inverse = inverse
+        return self._inverse.get(u)
 
     def _is_live(self, u: int) -> bool:
-        return 0 <= u < self._next_id
+        return 0 <= u < self.node_count
 
     def _refill(self, new) -> None:
         """Rehash every key into new in slot order; ids stay, so no remap."""
@@ -467,16 +464,11 @@ class _DenseIdMixin:
         slot_key = self._slot_key
         old_ids = self._ids.get
         ids = new._ids.set
-        slots = new._slots.set
         for j in self._used_slots():
-            t = place(slot_key(j))
-            nid = old_ids(j)
-            ids(t, nid)
-            slots(nid, t)
+            ids(place(slot_key(j)), old_ids(j))
 
     def memory_bytes(self) -> int:
-        return (super().memory_bytes() + self._ids.allocated_bytes +
-                self._slots.allocated_bytes)
+        return super().memory_bytes() + self._ids.allocated_bytes
 
 
 class PlainFKTrie(_DenseIdMixin, PlainBonsaiTrie):

@@ -196,6 +196,34 @@ def test_path_nodes_absent_key_raises():
         nonstep_path_nodes(d, b"gone")
 
 
+def test_census_counts_deleted_keywords(small_words):
+    # deletion clears the value and keeps the node, so the census and a
+    # deleted keyword's path count stay as they were
+    d = build(small_words, lam=8, capacity=64)
+    before = shape_stats(d)
+    counts = {w: nonstep_path_nodes(d, w) for w in small_words[::5]}
+    for w in counts:
+        assert d.delete(w)
+    assert shape_stats(d) == before
+    for w, n in counts.items():
+        assert nonstep_path_nodes(d, w) == n
+
+
+def test_reads_leave_memory_unchanged(combo, small_words):
+    # a dense-id table's climbs build an id-to-slot index on the side;
+    # it is derived, so memory_bytes does not count it
+    r, m = combo
+    d = Dictionary(Config(trie_repr=r, label_map=m, offset_limit=8,
+                          initial_capacity=64))
+    for i, w in enumerate(small_words):
+        d.insert(w, i)
+    before = d.memory_bytes()
+    assert len(list(d.items())) == len(small_words)
+    assert d.memory_bytes() == before
+    shape_stats(d)
+    assert d.memory_bytes() == before
+
+
 def test_census_consistent_across_backends(small_words):
     from conftest import ALL_COMBOS
     stats = set()

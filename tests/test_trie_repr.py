@@ -251,6 +251,50 @@ def test_load_never_exceeds_cap(repr_):
         assert 10 * b.node_count <= 9 * b.capacity
 
 
+def grow_to(oracle, handles, rng, n):
+    """Add random edges below random nodes until the trie has n nodes."""
+    while oracle.n_nodes < n:
+        parent = handles[rng.randrange(len(handles))]
+        code = rng.randrange(1025)
+        if (parent, code) not in oracle.children:
+            handles.append(oracle.addchild(parent, code))
+
+
+@pytest.mark.parametrize("repr_", ["pfkt", "cfkt"])
+def test_parent_index_follows_every_change(repr_):
+    # parent_edge reads an inverse of the slot-to-id array; it must not
+    # outlive an addchild, nor a doubling by reserve that adds no node
+    b = make_backend(cfg(repr_))
+    oracle = OracleTrie(b)
+    rng = random.Random(5)
+    handles = [oracle.root]
+    grow_to(oracle, handles, rng, 100)
+    oracle.check_all()
+    events = b.growth_events
+    grow_to(oracle, handles, rng, 115)  # 115 nodes still fit 128 slots
+    assert b.growth_events == events
+    oracle.check_all()
+    assert b.reserve(b.root_id, b.capacity - b.node_count) == b.root_id
+    assert (b.node_count, b.growth_events) == (115, events + 1)
+    oracle.check_all()
+
+
+@pytest.mark.parametrize("dense,twin", [("pfkt", "pbt"), ("cfkt", "cbt")])
+def test_dense_table_is_twin_plus_one_id_array(dense, twin):
+    # the same edges in the same order, then a climb over every node: a
+    # dense-id table stores its twin's table plus the slot-to-id array,
+    # and the inverse the climb built is not counted
+    backends = {}
+    for r in (dense, twin):
+        oracle = OracleTrie(make_backend(cfg(r)))
+        grow_to(oracle, [oracle.root], random.Random(11), 600)
+        oracle.check_all()
+        backends[r] = oracle.backend
+    d, t = backends[dense], backends[twin]
+    assert d.capacity == t.capacity == 1024
+    assert d.memory_bytes() == t.memory_bytes() + d._ids.allocated_bytes
+
+
 def test_fk_ids_survive_growth():
     b = make_backend(cfg("pfkt"))
     ids = [b.addchild(b.root_id, code) for code in range(1, 60)]
@@ -384,5 +428,5 @@ def test_compact_beats_plain_at_scale():
     sizes = {r: b.memory_bytes() for r, b in backends.items()}
     assert sizes["cbt"] < sizes["pbt"]
     assert sizes["cfkt"] < sizes["pfkt"]
-    # dense-id layouts carry two extra id arrays
+    # dense-id layouts carry one extra id array
     assert sizes["pfkt"] > sizes["pbt"]
