@@ -1,4 +1,4 @@
-"""Packed fixed-width integer vectors and bit vectors over 64-bit words."""
+"""Packed fixed-width integer vectors over 64-bit words."""
 
 from __future__ import annotations
 
@@ -7,15 +7,15 @@ from array import array
 
 from .core import ContractViolation
 
-_ONES = b"\xff" * 8
+_ONES = (1 << 64) - 1
 
 
 class IntVector:
     """Fixed-size vector of width-bit unsigned integers, bit-packed.
 
     Entries may straddle word boundaries. With fill_ones=True every entry
-    starts at the all-ones value of its width, which the hash tables use as
-    their vacancy sentinel.
+    starts at the all-ones value of its width, which every hash table reads
+    as a vacant slot.
     """
 
     __slots__ = ("width", "size", "_words", "_mask")
@@ -26,8 +26,9 @@ class IntVector:
         self.width = width
         self.size = size
         self._mask = (1 << width) - 1
+        # repeating a one-word array allocates the words once, at their size
         nwords = (width * size + 63) >> 6
-        self._words = array("Q", (_ONES if fill_ones else b"\x00" * 8) * nwords)
+        self._words = array("Q", [_ONES if fill_ones else 0]) * nwords
 
     def get(self, i: int) -> int:
         bit = i * self.width
@@ -50,39 +51,6 @@ class IntVector:
         if spill > 0:
             keep = self.width - spill
             words[w + 1] = (words[w + 1] & ~((1 << spill) - 1)) | (v >> keep)
-
-    @property
-    def allocated_bytes(self) -> int:
-        return sys.getsizeof(self._words)
-
-    def __len__(self) -> int:
-        return self.size
-
-
-class BitVector:
-    """Fixed-size bit vector; rank queries read its words directly."""
-
-    __slots__ = ("size", "_words")
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._words = array("Q", b"\x00" * 8 * ((size + 63) >> 6))
-
-    def get(self, i: int) -> int:
-        return (self._words[i >> 6] >> (i & 63)) & 1
-
-    def set_true(self, i: int) -> None:
-        self._words[i >> 6] |= 1 << (i & 63)
-
-    def iter_set(self):
-        """Yield the indices of set bits in increasing order."""
-        base = 0
-        for word in self._words:
-            while word:
-                low = word & -word
-                yield base + low.bit_length() - 1
-                word ^= low
-            base += 64
 
     @property
     def allocated_bytes(self) -> int:

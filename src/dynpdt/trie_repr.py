@@ -25,17 +25,19 @@ flat ``array("q")`` indexed by old slot, -1 at vacant slots, so a doubling
 holds no Python object per node. Dense ids stay, so the dense-id layouts
 rehash every key and pass None.
 
-Displacements for the compact layouts live in a 4-bit array whose top
-value escapes to one of two small linear-probing tables keyed by slot: a
-mid table holding 7-bit values for displacements 15-142 and a spill table
-holding full-width values past that.
+Every table marks a vacant slot with an all-ones entry: in the key array
+of the plain layouts, in the 4-bit displacement array of the compact ones.
+There nibble 15 is vacant, 0-13 are the displacement itself and 14 escapes
+to one of two small linear-probing tables keyed by slot: a mid table of
+7-bit values for displacements 14-141 and a spill table of full-width
+values past that.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from .bitarrays import BitVector, IntVector
+from .bitarrays import IntVector
 from .core import (
     MAX_CAPACITY,
     Config,
@@ -45,14 +47,15 @@ from .core import (
 )
 from .hashing import BijectiveTransform, scramble
 
-_SMALL_ESCAPE = (1 << 4) - 1          # displacement >= 15 leaves the 4-bit array
-_MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # displacement >= 143 goes to the spill table
+_VACANT = (1 << 4) - 1                 # the nibble of an empty slot
+_SMALL_ESCAPE = _VACANT - 1            # displacement >= 14 leaves the 4-bit array
+_MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # displacement >= 142 goes to the spill table
 
 
 class SpillTable:
     """Plain closed hash map from slot ids to the rare escaped displacements."""
 
-    __slots__ = ("_cap", "_count", "_keys", "_vals", "_used", "_key_bits", "_val_bits")
+    __slots__ = ("_cap", "_count", "_keys", "_vals", "_key_bits", "_val_bits")
 
     def __init__(self, key_bits: int, val_bits: int, capacity: int = 64) -> None:
         self._key_bits = key_bits
@@ -61,36 +64,38 @@ class SpillTable:
 
     def _init_storage(self, capacity: int) -> None:
         self._cap = capacity
-        self._keys = IntVector(self._key_bits, capacity)
+        # one bit more than a slot id needs, so an all-ones key marks a free slot
+        self._keys = IntVector(self._key_bits + 1, capacity, fill_ones=True)
         self._vals = IntVector(self._val_bits, capacity)
-        self._used = BitVector(capacity)
         self._count = 0
 
     def insert(self, key: int, value: int) -> None:
         if 10 * (self._count + 1) > 9 * self._cap:
-            pairs = [(self._keys.get(j), self._vals.get(j)) for j in self._used.iter_set()]
+            keys, vals = self._keys, self._vals
+            pairs = [(k, vals.get(j)) for j in range(self._cap)
+                     if (k := keys.get(j)) != keys._mask]
             self._init_storage(self._cap * 2)
             for k, v in pairs:
                 self.insert(k, v)
         mask = self._cap - 1
         j = scramble(key) & mask
-        used = self._used
-        while used.get(j):
-            if self._keys.get(j) == key:
+        keys = self._keys
+        vacant = keys._mask
+        while (k := keys.get(j)) != vacant:
+            if k == key:
                 raise ContractViolation("key already present")
             j = (j + 1) & mask
-        self._keys.set(j, key)
+        keys.set(j, key)
         self._vals.set(j, value)
-        used.set_true(j)
         self._count += 1
 
     def get(self, key: int) -> int | None:
         mask = self._cap - 1
         j = scramble(key) & mask
-        used = self._used
         keys = self._keys
-        while used.get(j):
-            if keys.get(j) == key:
+        vacant = keys._mask
+        while (k := keys.get(j)) != vacant:
+            if k == key:
                 return self._vals.get(j)
             j = (j + 1) & mask
         return None
@@ -99,8 +104,7 @@ class SpillTable:
         return self._count
 
     def memory_bytes(self) -> int:
-        return (self._keys.allocated_bytes + self._vals.allocated_bytes +
-                self._used.allocated_bytes)
+        return self._keys.allocated_bytes + self._vals.allocated_bytes
 
 
 class DisplacementStore:
@@ -109,7 +113,7 @@ class DisplacementStore:
     __slots__ = ("_base", "_mid", "_spill")
 
     def __init__(self, capacity: int, key_bits: int) -> None:
-        self._base = IntVector(4, capacity)
+        self._base = IntVector(4, capacity, fill_ones=True)
         self._mid = SpillTable(key_bits, 7, 1 << 6)
         self._spill = SpillTable(key_bits, key_bits, 1 << 6)
 
@@ -126,14 +130,11 @@ class DisplacementStore:
         return w
 
     def set(self, j: int, d: int) -> None:
-        if d < _SMALL_ESCAPE:
-            self._base.set(j, d)
-        elif d < _MID_LIMIT:
-            self._base.set(j, _SMALL_ESCAPE)
-            self._mid.insert(j, d - _SMALL_ESCAPE)
-        else:
-            self._base.set(j, _SMALL_ESCAPE)
+        self._base.set(j, min(d, _SMALL_ESCAPE))
+        if d >= _MID_LIMIT:
             self._spill.insert(j, d)
+        elif d >= _SMALL_ESCAPE:
+            self._mid.insert(j, d - _SMALL_ESCAPE)
 
     @property
     def mid_count(self) -> int:
@@ -152,11 +153,11 @@ class _HashTrie:
     """Shared shell: capacity bookkeeping, growth, id plumbing.
 
     Each layout supplies the storage hooks: ``_init_storage`` allocates an
-    empty table, ``_place(k)`` stores packed key k and returns its slot,
-    ``_find_slot(u, c)`` returns the slot holding edge (u, c) or None and
-    underlies ``getchild``, ``_slot_key(j)`` decodes the key stored at
-    slot j, ``_used_slots()`` yields the occupied slots in increasing
-    order, and ``_is_live(u)`` tells whether u names a node.
+    empty table and points ``_marks`` at the vector whose all-ones entries
+    mark its vacant slots, ``_place(k)`` stores packed key k and returns its
+    slot, ``_find_slot(u, c)`` returns the slot holding edge (u, c) or None
+    and underlies ``getchild``, and ``_slot_key(j)`` decodes the key stored
+    at slot j.
     """
 
     def __init__(self, config: Config, on_grow=None) -> None:
@@ -184,6 +185,14 @@ class _HashTrie:
 
     def _slot_of(self, u: int) -> int:
         return u
+
+    def _used_slots(self):
+        """The occupied slots, in increasing order."""
+        get, vacant = self._marks.get, self._marks._mask
+        return (j for j in range(self.capacity) if get(j) != vacant)
+
+    def _is_live(self, u: int) -> bool:
+        return 0 <= u < self.capacity and self._marks.get(u) != self._marks._mask
 
     # contract surface ----------------------------------------------
     def addchild(self, u: int, c: int) -> int:
@@ -282,16 +291,15 @@ class PlainBonsaiTrie(_HashTrie):
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)
         width = self._cap_bits + self._sym_bits
-        self._table = IntVector(width, capacity, fill_ones=True)
-        self._sentinel = (1 << width) - 1
+        self._table = self._marks = IntVector(width, capacity, fill_ones=True)
 
     def _place(self, k: int) -> int:
         mask = self._cap_mask
         j = (k * self._tf._mult >> self._sym_bits) & mask  # forward(), inlined
         table = self._table
         get = table.get
-        sent = self._sentinel
-        while get(j) != sent:
+        vacant = table._mask
+        while get(j) != vacant:
             j = (j + 1) & mask
         table.set(j, k)
         return j
@@ -305,7 +313,7 @@ class PlainBonsaiTrie(_HashTrie):
         table = self._table
         words = table._words
         width = table.width
-        sent = self._sentinel  # also the entry mask
+        vacant = table._mask  # also the entry mask
         while True:
             bit = j * width
             w = bit >> 6
@@ -313,10 +321,10 @@ class PlainBonsaiTrie(_HashTrie):
             h = words[w] >> off
             if off + width > 64:
                 h |= words[w + 1] << (64 - off)
-            h &= sent
+            h &= vacant
             if h == k:
                 return j
-            if h == sent:
+            if h == vacant:
                 return None
             j = (j + 1) & mask
 
@@ -324,14 +332,6 @@ class PlainBonsaiTrie(_HashTrie):
 
     def _slot_key(self, j: int) -> int:
         return self._table.get(j)
-
-    def _used_slots(self):
-        get = self._table.get
-        sent = self._sentinel
-        return (j for j in range(self.capacity) if get(j) != sent)
-
-    def _is_live(self, u: int) -> bool:
-        return 0 <= u < self.capacity and self._table.get(u) != self._sentinel
 
     def memory_bytes(self) -> int:
         return self._table.allocated_bytes
@@ -343,27 +343,26 @@ class CompactBonsaiTrie(_HashTrie):
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)
         self._quot = IntVector(self._sym_bits, capacity)
-        self._occ = BitVector(capacity)
         self._disp = DisplacementStore(capacity, self._cap_bits)
+        self._marks = self._disp._base
 
     def _place(self, k: int) -> int:
-        hv = k * self._tf._mult  # forward() and the occupancy reads are inlined
+        hv = k * self._tf._mult  # forward() and the nibble reads are inlined
         zs = self._sym_bits
         mask = self._cap_mask
         i = (hv >> zs) & mask
-        occ = self._occ._words
+        nibbles = self._marks._words
         j = i
-        while (occ[j >> 6] >> (j & 63)) & 1:
+        while (nibbles[j >> 4] >> ((j & 15) << 2)) & 15 != _VACANT:
             j = (j + 1) & mask
-        occ[j >> 6] |= 1 << (j & 63)
         self._quot.set(j, hv & ((1 << zs) - 1))
         self._disp.set(j, (j - i) & mask)
         return j
 
     def _find_slot(self, u: int, c: int) -> int | None:
-        # one frame: BijectiveTransform.forward and the occupancy, quotient
-        # and 4-bit displacement reads are inlined; only an escaped
-        # displacement goes through DisplacementStore.get
+        # one frame: BijectiveTransform.forward and the quotient and 4-bit
+        # displacement reads are inlined; only an escaped displacement goes
+        # through DisplacementStore.get
         zs = self._sym_bits
         quot = self._quot
         qmask = quot._mask
@@ -371,17 +370,16 @@ class CompactBonsaiTrie(_HashTrie):
         mask = self._cap_mask
         j = (hv >> zs) & mask
         q = hv & qmask
-        occ = self._occ._words
         qwords = quot._words
         width = quot.width
         disp = self._disp
         nibbles = disp._base._words
+        vacant = _VACANT
         esc = _SMALL_ESCAPE
         d = 0
-        while (occ[j >> 6] >> (j & 63)) & 1:
-            nib = (nibbles[j >> 4] >> ((j & 15) << 2)) & 15
+        while (nib := (nibbles[j >> 4] >> ((j & 15) << 2)) & 15) != vacant:
             # below the escape value the nibble is the displacement itself;
-            # at it, the displacement is some d >= 15 held in mid or spill
+            # at it, the displacement is some d >= 14 held in mid or spill
             if nib == d or nib == esc <= d:
                 bit = j * width
                 w = bit >> 6
@@ -401,15 +399,8 @@ class CompactBonsaiTrie(_HashTrie):
         i = (j - self._disp.get(j)) & self._cap_mask
         return self._tf.inverse((i << self._sym_bits) | self._quot.get(j))
 
-    def _used_slots(self):
-        return self._occ.iter_set()
-
-    def _is_live(self, u: int) -> bool:
-        return 0 <= u < self.capacity and bool(self._occ.get(u))
-
     def memory_bytes(self) -> int:
-        return (self._quot.allocated_bytes + self._occ.allocated_bytes +
-                self._disp.memory_bytes())
+        return self._quot.allocated_bytes + self._disp.memory_bytes()
 
 
 class _DenseIdMixin:

@@ -1,8 +1,11 @@
 import random
+import sys
+import tracemalloc
+from array import array
 
 import pytest
 
-from dynpdt.bitarrays import BitVector, IntVector
+from dynpdt.bitarrays import IntVector
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 8, 31, 32, 33, 63, 64])
@@ -36,12 +39,16 @@ def test_intvector_straddle_isolation():
     assert vec.get(3) == 0x2AAAAAAA
 
 
-def test_intvector_fill_ones():
-    vec = IntVector(13, 50, fill_ones=True)
-    assert all(vec.get(i) == (1 << 13) - 1 for i in range(50))
-    vec.set(20, 5)
-    assert vec.get(20) == 5
-    assert vec.get(19) == vec.get(21) == (1 << 13) - 1
+@pytest.mark.parametrize("width", [1, 4, 13, 64])
+def test_intvector_fill_ones(width):
+    # the fill is the vacancy mark of every hash table: 4-bit displacement
+    # nibbles, spill-table keys and plain key tables of any width
+    vec = IntVector(width, 150, fill_ones=True)
+    ones = (1 << width) - 1
+    assert all(vec.get(i) == ones for i in range(150))
+    vec.set(70, 0)
+    assert vec.get(70) == 0
+    assert vec.get(69) == vec.get(71) == ones
 
 
 def test_intvector_memory_scales():
@@ -52,22 +59,17 @@ def test_intvector_memory_scales():
     assert big < 10_000 * 2
 
 
-def test_bitvector_basics():
-    bv = BitVector(130)
-    assert not bv.get(0) and not bv.get(129)
-    bv.set_true(0)
-    bv.set_true(64)
-    bv.set_true(129)
-    assert bv.get(0) and bv.get(64) and bv.get(129)
-    assert list(bv.iter_set()) == [0, 64, 129]
-
-
-def test_bitvector_iter_set_matches_model():
-    rng = random.Random(5)
-    bv = BitVector(1000)
-    want = set()
-    for _ in range(300):
-        i = rng.randrange(1000)
-        bv.set_true(i)
-        want.add(i)
-    assert list(bv.iter_set()) == sorted(want)
+@pytest.mark.parametrize("width", [1, 4, 15, 17, 32, 64])
+@pytest.mark.parametrize("fill_ones", [False, True])
+def test_intvector_allocates_once_at_exact_size(width, fill_ones):
+    size = 1 << 17
+    nwords = (width * size + 63) >> 6
+    tracemalloc.start()
+    try:
+        vec = IntVector(width, size, fill_ones)
+        final, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sys.getsizeof(vec._words) == sys.getsizeof(array("Q")) + 8 * nwords
+    assert vec.allocated_bytes == sys.getsizeof(vec._words)
+    assert peak <= final + 1024

@@ -8,6 +8,7 @@ from dynpdt.core import REPRS, Config, ContractViolation, ResourceExhausted
 from dynpdt.trie_repr import (
     _MID_LIMIT,
     _SMALL_ESCAPE,
+    _VACANT,
     DisplacementStore,
     SpillTable,
     make_backend,
@@ -66,13 +67,19 @@ def test_spill_table_roundtrip_and_duplicate():
 
 def test_displacement_store_tiers():
     ds = DisplacementStore(capacity=1 << 13, key_bits=13)
-    cases = {0: 0, 1: 5, 2: 14, 3: 15, 4: 100, 5: 142, 6: 143, 7: 5000}
+    small = [0, 5, _SMALL_ESCAPE - 1]
+    mid = [_SMALL_ESCAPE, 100, _MID_LIMIT - 1]
+    spill = [_MID_LIMIT, 5000]
+    cases = dict(enumerate(small + mid + spill))
     for j, d in cases.items():
         ds.set(j, d)
     for j, d in cases.items():
         assert ds.get(j) == d
-    assert ds.mid_count == 3   # 15, 100, 142
-    assert ds.spill_count == 2  # 143, 5000
+        # an escaped slot's nibble is the escape value, never the vacancy mark
+        assert ds._base.get(j) == (d if d in small else _SMALL_ESCAPE)
+    assert all(ds._base.get(j) == _VACANT for j in range(len(cases), 1 << 13))
+    assert ds.mid_count == len(mid)
+    assert ds.spill_count == len(spill)
 
 
 @pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
@@ -120,6 +127,7 @@ def test_displacement_tiers_after_doublings(repr_):
         if b.getchild(parent, code) is None:
             nodes.append(b.addchild(parent, code))
     assert b.growth_events >= 8
+    assert len(list(b._used_slots())) == b.node_count
     disp = b._disp
     escaped = [j for j in range(b.capacity) if disp._base.get(j) == _SMALL_ESCAPE]
     assert len(escaped) == disp.mid_count + disp.spill_count
