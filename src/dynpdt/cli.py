@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -17,7 +18,6 @@ from pathlib import Path
 from .analysis import decomposition_bounds, shape_stats
 from .core import Config, DynPdtError, EmptyCorpus, GROUP_SIZES, LABEL_MAPS, REPRS
 from .dictionary import Dictionary
-from .hashing import SplitMix64
 
 
 def load_corpus(path, dedupe: bool = False) -> tuple[list[bytes], dict]:
@@ -48,11 +48,8 @@ def load_corpus(path, dedupe: bool = False) -> tuple[list[bytes], dict]:
 
 
 def shuffle_keys(keys: list[bytes], seed: int) -> None:
-    """In-place Fisher-Yates driven by a seeded generator."""
-    rng = SplitMix64(seed)
-    for i in range(len(keys) - 1, 0, -1):
-        j = rng.below(i + 1)
-        keys[i], keys[j] = keys[j], keys[i]
+    """Shuffle keys in place; a given seed always gives the same order."""
+    random.Random(seed).shuffle(keys)
 
 
 def _config(args) -> Config:
@@ -124,6 +121,20 @@ def _unused_byte(keys: list[bytes]) -> int | None:
     return None
 
 
+def _time_lookups(lookup, queries: list[bytes], repeats: int) -> tuple[int, int]:
+    """Best ns over repeats passes of lookup(q) for every q, and the count found."""
+    best = None
+    for _ in range(repeats):
+        t0 = time.perf_counter_ns()
+        found = 0
+        for key in queries:
+            if lookup(key) is not None:
+                found += 1
+        dt = time.perf_counter_ns() - t0
+        best = dt if best is None else min(best, dt)
+    return best, found
+
+
 def run_bench(args) -> tuple[dict, int]:
     keys, d, rep = _load_and_build(args)
 
@@ -135,26 +146,8 @@ def run_bench(args) -> tuple[dict, int]:
         tail = bytes((ub,))
         misses = [key[:-1] + tail for key in sample]
 
-    lookup = d.lookup
-    best_hit = best_miss = None
-    hit_found = miss_found = 0
-    for _ in range(args.repeats):
-        t0 = time.perf_counter_ns()
-        found = 0
-        for key in sample:
-            if lookup(key) is not None:
-                found += 1
-        dt = time.perf_counter_ns() - t0
-        hit_found = found
-        best_hit = dt if best_hit is None or dt < best_hit else best_hit
-        t0 = time.perf_counter_ns()
-        found = 0
-        for key in misses:
-            if lookup(key) is not None:
-                found += 1
-        dt = time.perf_counter_ns() - t0
-        miss_found = found
-        best_miss = dt if best_miss is None or dt < best_miss else best_miss
+    best_hit, hit_found = _time_lookups(d.lookup, sample, args.repeats)
+    best_miss, miss_found = _time_lookups(d.lookup, misses, args.repeats)
     rep.update({
         "queries": len(sample),
         "repeats": args.repeats,
@@ -210,8 +203,11 @@ def _positive_int(text: str) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("corpus", help="newline-separated keyword file")
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("corpus", help="newline-separated keyword file")
+    corpus.add_argument("--format", choices=("json", "tsv"), default="json",
+                        help="report format (default: json)")
+    shared = argparse.ArgumentParser(add_help=False, parents=[corpus])
     shared.add_argument("--repr", choices=REPRS, default="cbt",
                         help="trie backend (default: cbt)")
     shared.add_argument("--nlm", choices=LABEL_MAPS, default="slm",
@@ -226,8 +222,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="shuffle keys with this seed before building")
     shared.add_argument("--dedupe", action="store_true",
                         help="drop repeated keywords, keeping the first")
-    shared.add_argument("--format", choices=("json", "tsv"), default="json",
-                        help="report format (default: json)")
 
     top = argparse.ArgumentParser(prog="dynpdt",
                                   description="dynamic keyword dictionary harness")
@@ -242,11 +236,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="timing passes, best taken (default: 3)")
     sub.add_parser("stats", parents=[shared],
                    help="build and census the trie shape")
-    bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("corpus", help="newline-separated keyword file")
-    bounds.add_argument("--format", choices=("json", "tsv"), default="json",
-                        help="report format (default: json)")
-    sub.add_parser("bounds", parents=[bounds],
+    sub.add_parser("bounds", parents=[corpus],
                    help="decomposition band for the average height")
     return top
 

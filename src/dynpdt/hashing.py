@@ -1,54 +1,18 @@
-"""Hash building blocks: a 64-bit scrambler, an invertible multiply, and VByte.
+"""Hash building blocks: an invertible multiply and VByte.
 
 Everything here is deterministic with fixed published constants: no seeds,
-no per-process randomization. The scrambler is the splitmix64 output
-function. The invertible multiply (Knuth's multiplicative hashing modulo a
-power of two) places keys in the trie tables, which can then store
-quotients and reconstruct keys exactly.
+no per-process randomization. One multiply by the golden-ratio constant
+homes every table (Knuth's multiplicative hashing): modulo a power of two
+it is invertible, so the trie tables can store quotients and reconstruct
+keys exactly, and the displacement overflow tables take the high bits of
+the untruncated product.
 """
 
 from __future__ import annotations
 
 from .core import ContractViolation, CorruptionError
 
-_U64 = (1 << 64) - 1
-
-# splitmix64 increment and output-mixing constants
-GOLDEN_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
-
-def scramble(x: int) -> int:
-    """Map a 64-bit key to a well-mixed 64-bit hash (splitmix64 at index x)."""
-    z = (x + GOLDEN_GAMMA) & _U64
-    z = ((z ^ (z >> 30)) * _MIX1) & _U64
-    z = ((z ^ (z >> 27)) * _MIX2) & _U64
-    return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """Tiny sequential PRNG over the same constants as scramble()."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _U64
-
-    def next(self) -> int:
-        z = self._state
-        self._state = (z + GOLDEN_GAMMA) & _U64
-        return scramble(z)
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection sampling."""
-        if bound <= 0:
-            raise ContractViolation("bound must be positive")
-        threshold = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            r = self.next()
-            if r < threshold:
-                return r % bound
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # the odd integer nearest 2**64 / golden ratio
 
 
 class BijectiveTransform:

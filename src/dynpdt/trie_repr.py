@@ -12,9 +12,12 @@ interchangeable layouts implement the same contract:
   ids are assigned in creation order and survive growth unchanged, held
   in one slot-to-id array whose inverse parent_edge builds on demand.
 
-All four home key k at the high bits of hv = BijectiveTransform.forward(k);
-the compact layouts store hv's low symbol_bits as the quotient. So ``pbt``
-and ``cbt`` put every node in the same slot, as do ``pfkt`` and ``cfkt``.
+One multiply by the golden-ratio constant homes every table. All four
+home key k at the high bits of hv = BijectiveTransform.forward(k), which
+truncates the constant to the key's width; the compact layouts store hv's
+low symbol_bits as the quotient. So ``pbt`` and ``cbt`` put every node in
+the same slot, as do ``pfkt`` and ``cfkt``. The overflow tables below home
+a slot id at the high bits of its product with the untruncated constant.
 
 All four grow through ``_HashTrie._grow``, which refills an empty larger
 table through the layout's placement and key-decoding hooks, never probing
@@ -45,7 +48,7 @@ from .core import (
     CorruptionError,
     ResourceExhausted,
 )
-from .hashing import BijectiveTransform, scramble
+from .hashing import GOLDEN_GAMMA, BijectiveTransform
 
 _VACANT = (1 << 4) - 1                 # the nibble of an empty slot
 _SMALL_ESCAPE = _VACANT - 1            # displacement >= 14 leaves the 4-bit array
@@ -53,50 +56,58 @@ _MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # displacement >= 142 goes to the spill t
 
 
 class SpillTable:
-    """Plain closed hash map from slot ids to the rare escaped displacements."""
+    """Linear-probing map from slot ids to the rare escaped displacements.
 
-    __slots__ = ("_cap", "_count", "_keys", "_vals", "_key_bits", "_val_bits")
+    Each entry packs (slot << val_bits) | value, one bit wider than that
+    needs, so an all-ones entry marks a free slot. A slot id homes at the
+    high bits of slot * GOLDEN_GAMMA mod 2**64 (Fibonacci hashing), which
+    spreads the runs of consecutive ids that escape together.
+    """
+
+    __slots__ = ("_cap", "_shift", "_count", "_entries", "_val_bits")
 
     def __init__(self, key_bits: int, val_bits: int, capacity: int = 64) -> None:
-        self._key_bits = key_bits
         self._val_bits = val_bits
-        self._init_storage(capacity)
+        self._init_storage(key_bits + 1 + val_bits, capacity)
 
-    def _init_storage(self, capacity: int) -> None:
+    def _init_storage(self, width: int, capacity: int) -> None:
         self._cap = capacity
-        # one bit more than a slot id needs, so an all-ones key marks a free slot
-        self._keys = IntVector(self._key_bits + 1, capacity, fill_ones=True)
-        self._vals = IntVector(self._val_bits, capacity)
+        self._shift = 65 - capacity.bit_length()
+        self._entries = IntVector(width, capacity, fill_ones=True)
         self._count = 0
 
     def insert(self, key: int, value: int) -> None:
         if 10 * (self._count + 1) > 9 * self._cap:
-            keys, vals = self._keys, self._vals
-            pairs = [(k, vals.get(j)) for j in range(self._cap)
-                     if (k := keys.get(j)) != keys._mask]
-            self._init_storage(self._cap * 2)
-            for k, v in pairs:
-                self.insert(k, v)
+            old = self._entries
+            self._init_storage(old.width, self._cap * 2)
+            for j in range(old.size):
+                if (e := old.get(j)) != old._mask:
+                    self._put(e)
+        self._put((key << self._val_bits) | value)
+
+    def _put(self, entry: int) -> None:
+        vb = self._val_bits
+        key = entry >> vb
         mask = self._cap - 1
-        j = scramble(key) & mask
-        keys = self._keys
-        vacant = keys._mask
-        while (k := keys.get(j)) != vacant:
-            if k == key:
+        j = (key * GOLDEN_GAMMA >> self._shift) & mask
+        entries = self._entries
+        vacant = entries._mask
+        while (e := entries.get(j)) != vacant:
+            if e >> vb == key:
                 raise ContractViolation("key already present")
             j = (j + 1) & mask
-        keys.set(j, key)
-        self._vals.set(j, value)
+        entries.set(j, entry)
         self._count += 1
 
     def get(self, key: int) -> int | None:
+        vb = self._val_bits
         mask = self._cap - 1
-        j = scramble(key) & mask
-        keys = self._keys
-        vacant = keys._mask
-        while (k := keys.get(j)) != vacant:
-            if k == key:
-                return self._vals.get(j)
+        j = (key * GOLDEN_GAMMA >> self._shift) & mask
+        entries = self._entries
+        vacant = entries._mask
+        while (e := entries.get(j)) != vacant:
+            if e >> vb == key:
+                return e & ((1 << vb) - 1)
             j = (j + 1) & mask
         return None
 
@@ -104,7 +115,7 @@ class SpillTable:
         return self._count
 
     def memory_bytes(self) -> int:
-        return self._keys.allocated_bytes + self._vals.allocated_bytes
+        return self._entries.allocated_bytes
 
 
 class DisplacementStore:

@@ -47,6 +47,13 @@ def test_shuffle_is_seeded_permutation():
     assert c != a
 
 
+def test_shuffle_order_is_pinned():
+    # random.Random's seeded shuffle; CI checks it on every supported Python
+    keys = [b"k%d" % i for i in range(10)]
+    shuffle_keys(keys, 7)
+    assert keys == [b"k8", b"k3", b"k1", b"k4", b"k7", b"k0", b"k9", b"k6", b"k2", b"k5"]
+
+
 def test_shuffle_reaches_every_order():
     # all 6 arrangements of three keys show up across seeds
     seen = set()

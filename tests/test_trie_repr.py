@@ -4,6 +4,7 @@ import pytest
 
 from conftest import dna_kmers, random_words, synthetic_urls
 from dynpdt import Dictionary
+from dynpdt.bitarrays import IntVector
 from dynpdt.core import REPRS, Config, ContractViolation, ResourceExhausted
 from dynpdt.trie_repr import (
     _MID_LIMIT,
@@ -63,6 +64,27 @@ def test_spill_table_roundtrip_and_duplicate():
     assert st.get(7) is None
     with pytest.raises(ContractViolation):
         st.insert(1, 5)
+
+
+def test_spill_table_spreads_runs_of_slot_ids(monkeypatch):
+    # compact tables escape runs of consecutive slots; the golden-ratio
+    # multiply homes such a run about one read per lookup
+    st = SpillTable(key_bits=17, val_bits=7, capacity=64)
+    run = range(3000)
+    for key in run:
+        st.insert(key, key % 128)
+    assert st.memory_bytes() == st._entries.allocated_bytes
+    reads = 0
+    get = IntVector.get
+
+    def counting_get(self, i):
+        nonlocal reads
+        reads += 1
+        return get(self, i)
+
+    monkeypatch.setattr(IntVector, "get", counting_get)
+    assert all(st.get(key) == key % 128 for key in run)
+    assert reads / len(run) <= 1.5
 
 
 def test_displacement_store_tiers():
