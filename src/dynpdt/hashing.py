@@ -2,10 +2,9 @@
 
 Everything here is deterministic with fixed published constants: no seeds,
 no per-process randomization. One multiply by the golden-ratio constant
-homes every table (Knuth's multiplicative hashing): modulo a power of two
-it is invertible, so the trie tables can store quotients and reconstruct
-keys exactly, and the displacement overflow tables take the high bits of
-the untruncated product.
+homes every trie table (Knuth's multiplicative hashing): modulo a power of
+two it is invertible, so the tables can store quotients and reconstruct
+keys exactly.
 """
 
 from __future__ import annotations

@@ -12,12 +12,11 @@ interchangeable layouts implement the same contract:
   ids are assigned in creation order and survive growth unchanged, held
   in one slot-to-id array whose inverse parent_edge builds on demand.
 
-One multiply by the golden-ratio constant homes every table. All four
-home key k at the high bits of hv = BijectiveTransform.forward(k), which
-truncates the constant to the key's width; the compact layouts store hv's
-low symbol_bits as the quotient. So ``pbt`` and ``cbt`` put every node in
-the same slot, as do ``pfkt`` and ``cfkt``. The overflow tables below home
-a slot id at the high bits of its product with the untruncated constant.
+One multiply by the golden-ratio constant homes every node table. All
+four home key k at the high bits of hv = BijectiveTransform.forward(k),
+which truncates the constant to the key's width; the compact layouts store
+hv's low symbol_bits as the quotient. So ``pbt`` and ``cbt`` put every node
+in the same slot, as do ``pfkt`` and ``cfkt``.
 
 All four grow through ``_HashTrie._grow``, which refills an empty larger
 table through the layout's placement and key-decoding hooks, never probing
@@ -28,17 +27,19 @@ flat ``array("q")`` indexed by old slot, -1 at vacant slots, so a doubling
 holds no Python object per node. Dense ids stay, so the dense-id layouts
 rehash every key and pass None.
 
-Every table marks a vacant slot with an all-ones entry: in the key array
-of the plain layouts, in the 4-bit displacement array of the compact ones.
-There nibble 15 is vacant, 0-13 are the displacement itself and 14 escapes
-to one of two small linear-probing tables keyed by slot: a mid table of
-7-bit values for displacements 14-141 and a spill table of full-width
-values past that.
+Every node table marks a vacant slot with an all-ones entry: in the key
+array of the plain layouts, in the 4-bit displacement array of the compact
+ones. There nibble 15 is vacant, 0-13 are the displacement itself and 14
+escapes to one of two small maps from slot id to displacement, each a pair
+of arrays kept in slot order: a mid map of 7-bit values for displacements
+14-141 and a spill map of full-width values past that.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
+from bisect import bisect_left
 
 from .bitarrays import IntVector
 from .core import (
@@ -48,7 +49,7 @@ from .core import (
     CorruptionError,
     ResourceExhausted,
 )
-from .hashing import GOLDEN_GAMMA, BijectiveTransform
+from .hashing import BijectiveTransform
 
 _VACANT = (1 << 4) - 1                 # the nibble of an empty slot
 _SMALL_ESCAPE = _VACANT - 1            # displacement >= 14 leaves the 4-bit array
@@ -56,66 +57,39 @@ _MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # displacement >= 142 goes to the spill t
 
 
 class SpillTable:
-    """Linear-probing map from slot ids to the rare escaped displacements.
+    """Map from slot ids to the rare escaped displacements.
 
-    Each entry packs (slot << val_bits) | value, one bit wider than that
-    needs, so an all-ones entry marks a free slot. A slot id homes at the
-    high bits of slot * GOLDEN_GAMMA mod 2**64 (Fibonacci hashing), which
-    spreads the runs of consecutive ids that escape together.
+    Two parallel arrays kept in slot order, the ids and their values, so a
+    lookup is one binary search and an insert shifts the tail of both.
     """
 
-    __slots__ = ("_cap", "_shift", "_count", "_entries", "_val_bits")
+    __slots__ = ("_keys", "_vals")
 
-    def __init__(self, key_bits: int, val_bits: int, capacity: int = 64) -> None:
-        self._val_bits = val_bits
-        self._init_storage(key_bits + 1 + val_bits, capacity)
-
-    def _init_storage(self, width: int, capacity: int) -> None:
-        self._cap = capacity
-        self._shift = 65 - capacity.bit_length()
-        self._entries = IntVector(width, capacity, fill_ones=True)
-        self._count = 0
+    def __init__(self, key_bits: int, val_bits: int) -> None:
+        code = "I" if key_bits <= 32 else "Q"
+        self._keys = array(code)
+        self._vals = array("B" if val_bits <= 8 else code)
 
     def insert(self, key: int, value: int) -> None:
-        if 10 * (self._count + 1) > 9 * self._cap:
-            old = self._entries
-            self._init_storage(old.width, self._cap * 2)
-            for j in range(old.size):
-                if (e := old.get(j)) != old._mask:
-                    self._put(e)
-        self._put((key << self._val_bits) | value)
-
-    def _put(self, entry: int) -> None:
-        vb = self._val_bits
-        key = entry >> vb
-        mask = self._cap - 1
-        j = (key * GOLDEN_GAMMA >> self._shift) & mask
-        entries = self._entries
-        vacant = entries._mask
-        while (e := entries.get(j)) != vacant:
-            if e >> vb == key:
-                raise ContractViolation("key already present")
-            j = (j + 1) & mask
-        entries.set(j, entry)
-        self._count += 1
+        keys = self._keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            raise ContractViolation("key already present")
+        keys.insert(i, key)
+        self._vals.insert(i, value)
 
     def get(self, key: int) -> int | None:
-        vb = self._val_bits
-        mask = self._cap - 1
-        j = (key * GOLDEN_GAMMA >> self._shift) & mask
-        entries = self._entries
-        vacant = entries._mask
-        while (e := entries.get(j)) != vacant:
-            if e >> vb == key:
-                return e & ((1 << vb) - 1)
-            j = (j + 1) & mask
+        keys = self._keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return self._vals[i]
         return None
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._keys)
 
     def memory_bytes(self) -> int:
-        return self._entries.allocated_bytes
+        return sys.getsizeof(self._keys) + sys.getsizeof(self._vals)
 
 
 class DisplacementStore:
@@ -125,8 +99,8 @@ class DisplacementStore:
 
     def __init__(self, capacity: int, key_bits: int) -> None:
         self._base = IntVector(4, capacity, fill_ones=True)
-        self._mid = SpillTable(key_bits, 7, 1 << 6)
-        self._spill = SpillTable(key_bits, key_bits, 1 << 6)
+        self._mid = SpillTable(key_bits, 7)
+        self._spill = SpillTable(key_bits, key_bits)
 
     def get(self, j: int) -> int:
         v = self._base.get(j)

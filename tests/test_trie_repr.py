@@ -4,7 +4,6 @@ import pytest
 
 from conftest import dna_kmers, random_words, synthetic_urls
 from dynpdt import Dictionary
-from dynpdt.bitarrays import IntVector
 from dynpdt.core import REPRS, Config, ContractViolation, ResourceExhausted
 from dynpdt.trie_repr import (
     _MID_LIMIT,
@@ -25,9 +24,9 @@ def cfg(repr_, capacity=16, lam=4, **kw):
 
 
 def test_spill_table_differential():
-    # the mid tier's shape: 7-bit values, 64 starting slots
+    # the mid tier's shape: 7-bit values
     rng = random.Random(1)
-    st = SpillTable(key_bits=10, val_bits=7, capacity=1 << 6)
+    st = SpillTable(key_bits=10, val_bits=7)
     model = {}
     keys = list(range(1 << 10))
     rng.shuffle(keys)
@@ -39,24 +38,14 @@ def test_spill_table_differential():
             probe = rng.randrange(1 << 10)
             assert st.get(probe) == model.get(probe)
     assert len(st) == 900
-    assert st._cap >= 1024  # 900 keys outgrow the 64 starting slots
     for key in keys[:900]:
         assert st.get(key) == model[key]
     for key in keys[900:]:
         assert st.get(key) is None
 
 
-def test_spill_table_grows_under_load():
-    st = SpillTable(key_bits=12, val_bits=7, capacity=1 << 6)
-    for key in range(600):
-        st.insert(key, key % 128)
-    assert st._cap >= 1024  # started at 64, load cap forces doublings
-    assert len(st) == 600
-    assert all(st.get(k) == k % 128 for k in range(600))
-
-
 def test_spill_table_roundtrip_and_duplicate():
-    st = SpillTable(key_bits=16, val_bits=16, capacity=4)
+    st = SpillTable(key_bits=16, val_bits=16)
     for key in (0, 1, 9999, 65535, 12345):
         st.insert(key, key % 1000)
     for key in (0, 1, 9999, 65535, 12345):
@@ -66,25 +55,24 @@ def test_spill_table_roundtrip_and_duplicate():
         st.insert(1, 5)
 
 
-def test_spill_table_spreads_runs_of_slot_ids(monkeypatch):
-    # compact tables escape runs of consecutive slots; the golden-ratio
-    # multiply homes such a run about one read per lookup
-    st = SpillTable(key_bits=17, val_bits=7, capacity=64)
-    run = range(3000)
-    for key in run:
+def test_spill_table_refused_duplicate_changes_nothing():
+    st = SpillTable(key_bits=17, val_bits=7)
+    for key in range(0, 570, 10):
         st.insert(key, key % 128)
-    assert st.memory_bytes() == st._entries.allocated_bytes
-    reads = 0
-    get = IntVector.get
+    before = (len(st), st.memory_bytes())
+    with pytest.raises(ContractViolation):
+        st.insert(560, 1)
+    assert (len(st), st.memory_bytes()) == before
+    assert st.get(560) == 560 % 128
 
-    def counting_get(self, i):
-        nonlocal reads
-        reads += 1
-        return get(self, i)
 
-    monkeypatch.setattr(IntVector, "get", counting_get)
-    assert all(st.get(key) == key % 128 for key in run)
-    assert reads / len(run) <= 1.5
+@pytest.mark.parametrize("key_bits", [32, 40, 48])
+def test_displacement_store_spills_full_width(key_bits):
+    # a compact table of 2**32 slots or more keeps its widest displacements
+    ds = DisplacementStore(capacity=16, key_bits=key_bits)
+    ds.set(5, 2**key_bits - 1)
+    assert ds.get(5) == 2**key_bits - 1
+    assert ds.spill_count == 1
 
 
 def test_displacement_store_tiers():
