@@ -3,17 +3,21 @@
 Each of the eight trie_repr x label_map combinations builds the same
 2,000 words from 16 slots at offset limit 4, half of them plurals of the
 other half so that step nodes form, then deletes and revives some of them.
-Two sha256 digests are pinned per combo:
+Three sha256 digests are pinned per combo:
 
-* the placement digest covers the counters, each used slot with the key it
-  decodes to and the id it holds, every label group and the items. It
-  says nothing about how a table marks vacancy or stores displacements,
-  so only a change to hashing, probing or growth order may re-pin it.
+* the records digest covers the counters, each used slot with the key it
+  decodes to and the id it holds, every (id, label, value) the label map
+  holds and the items. It says nothing about how either structure lays
+  out its bytes, so a layout change must leave it as it is.
+* the placement digest also covers every label group's bytes. It says
+  nothing about how a table marks vacancy or stores displacements, so only
+  a change to hashing, probing, growth order or the label layout may
+  re-pin it.
 * the storage digest also covers the node table's word arrays and the
   displacement tiers. A change that means to alter the stored layout
   re-pins it and says so; any other change must leave it as it is.
 
-To print both:
+To print all three:
 
     PYTHONPATH=src:tests python tests/test_layout.py
 """
@@ -27,7 +31,18 @@ from dynpdt import Config, Dictionary
 from dynpdt.trie_repr import _SMALL_ESCAPE
 
 # a plain table and its compact twin put every node in the same slot, so
-# their placement digests agree
+# their digests agree; the records digest also agrees across label maps
+RECORDS = {
+    "pbt-plm": "8876a57b321240eb1987245359cf4404882b13d8d5e22c313ac3d336f084582d",
+    "pbt-slm": "8876a57b321240eb1987245359cf4404882b13d8d5e22c313ac3d336f084582d",
+    "cbt-plm": "8876a57b321240eb1987245359cf4404882b13d8d5e22c313ac3d336f084582d",
+    "cbt-slm": "8876a57b321240eb1987245359cf4404882b13d8d5e22c313ac3d336f084582d",
+    "pfkt-plm": "c0751494d0d5503b84d29b0a46b9ac672741421cd0b4d519646107f95f8d14d2",
+    "pfkt-slm": "c0751494d0d5503b84d29b0a46b9ac672741421cd0b4d519646107f95f8d14d2",
+    "cfkt-plm": "c0751494d0d5503b84d29b0a46b9ac672741421cd0b4d519646107f95f8d14d2",
+    "cfkt-slm": "c0751494d0d5503b84d29b0a46b9ac672741421cd0b4d519646107f95f8d14d2",
+}
+
 PLACEMENT = {
     "pbt-plm": "7bca526298b7cf9c62977da05ea4b847fda5c275ea45e75d7c11dff712df5424",
     "pbt-slm": "6a5161a36cec0c3a548f09a58282753437906f1acd8e2f39829391e21e0a8102",
@@ -79,13 +94,19 @@ def _counters(d):
     return (b.root_id, b.capacity, b.node_count, b.growth_events, len(d))
 
 
-def placement_digest(d) -> str:
+def _slots(d):
     b = d._backend
     ids = b._ids.get if hasattr(b, "_ids") else (lambda j: j)
-    return _digest([_counters(d),
-                    [(j, b._slot_key(j), ids(j)) for j in b._used_slots()],
-                    d._nlm._groups,
-                    sorted(d.items())])
+    return [(j, b._slot_key(j), ids(j)) for j in b._used_slots()]
+
+
+def records_digest(d) -> str:
+    records = sorted((nid, p.label, p.value) for nid, p in d._nlm.iter_items())
+    return _digest([_counters(d), _slots(d), records, sorted(d.items())])
+
+
+def placement_digest(d) -> str:
+    return _digest([_counters(d), _slots(d), d._nlm._groups, sorted(d.items())])
 
 
 def storage_digest(d) -> str:
@@ -106,6 +127,11 @@ def storage_digest(d) -> str:
 
 
 @pytest.mark.parametrize("repr_,nlm", ALL_COMBOS, ids=lambda c: c)
+def test_records_digest_is_pinned(repr_, nlm):
+    assert records_digest(build(repr_, nlm)) == RECORDS[f"{repr_}-{nlm}"]
+
+
+@pytest.mark.parametrize("repr_,nlm", ALL_COMBOS, ids=lambda c: c)
 def test_placement_digest_is_pinned(repr_, nlm):
     assert placement_digest(build(repr_, nlm)) == PLACEMENT[f"{repr_}-{nlm}"]
 
@@ -116,7 +142,8 @@ def test_layout_digest_is_pinned(repr_, nlm):
 
 
 if __name__ == "__main__":
-    for name, digest in (("PLACEMENT", placement_digest), ("STORAGE", storage_digest)):
+    for name, digest in (("RECORDS", records_digest), ("PLACEMENT", placement_digest),
+                         ("STORAGE", storage_digest)):
         print(f"{name} = {{")
         for repr_, nlm in ALL_COMBOS:
             print(f'    "{repr_}-{nlm}": "{digest(build(repr_, nlm))}",')
