@@ -9,13 +9,16 @@ for a fixed-size hop. Lookups therefore compare one label per labeled
 node on the path and never rescan shared prefixes.
 
 All three operations share one descent, _walk(). It keeps the terminated
-keyword whole and advances an offset into it: at each labeled node it
-tests for an exact match in place, otherwise computes the first
-differing byte and follows the step hops and the branch edge. It ends
-either at the keyword's node or at the first missing child, reported as
-the node it stopped at, the step hops still owed, the branch edge code
-and the keyword offset of the branching byte. lookup() and delete() read
-that result; insert() creates just the missing tail from it.
+keyword whole and advances an offset into it: at each labeled node one
+call to the label map's match() compares the stored label with the rest
+of the keyword in place and returns either the node's value, on an exact
+match, or the first differing byte, which the walk follows through the
+step hops and the branch edge. No label is copied out and no value is
+decoded before the last node. The walk ends either at the keyword's node,
+reported with its value, or at the first missing child, reported as the
+node it stopped at, the step hops still owed, the branch edge code and
+the keyword offset of the branching byte. lookup() and delete() read that
+result; insert() creates just the missing tail from it.
 
 Deletion clears a node's value but keeps the node, so the trie only ever
 grows; re-inserting a deleted keyword revives it in place.
@@ -65,41 +68,28 @@ class Dictionary:
     def _walk(self, s: bytes):
         """Descend along terminated keyword s; the one walk of all operations.
 
-        Returns (node, payload, hops, code, pos). When s has a node, payload
-        is its label record and the rest is unused. Otherwise payload is
-        None and node is where the path stops: below it, hops step nodes
-        and then the edge code are missing, and s[pos] is the branching
-        byte, so s[pos + 1:-1] is the label a new node would take. A code
-        of None means the root has no label yet: the dictionary is empty.
+        Returns (node, value, hops, code, pos). When s has a node, value is
+        the value its record holds, NO_VALUE if the keyword was deleted, and
+        the rest is unused. Otherwise value is None and node is where the
+        path stops: below it, hops step nodes and then the edge code are
+        missing, and s[pos] is the branching byte, so s[pos + 1:-1] is the
+        label a new node would take. A code of None means the root has no
+        label yet: the dictionary is empty.
         """
         backend = self._backend
         getchild = backend.getchild
-        access = self._nlm.access
+        match = self._nlm.match
+        n = len(s) - 1  # s[n] is the terminator
         u = backend.root_id
-        payload = access(u)
-        if payload is None:
+        hit = match(u, s, 0, n)
+        if hit is None:
             return u, None, 0, None, 0
         lam_bits = self._lam_bits
         off_mask = self._lam - 1
         step = self._step_code
-        n = len(s) - 1  # s[n] is the terminator
         pos = 0  # the residual keyword is s[pos:]
-        while True:
-            stored = payload.label
-            m = len(stored)
-            r = n - pos
-            if m == r and s.startswith(stored, pos):
-                return u, payload, 0, None, 0
-            # the label is stored without its terminator, so when the common
-            # window matches the strings diverge where the shorter one ends
-            w = m if m <= r else r + 1
-            x = int.from_bytes(s[pos:pos + w], "big") ^ int.from_bytes(stored[:w], "big")
-            if x:
-                i = pos + w - ((x.bit_length() + 7) >> 3)
-            elif m < r:
-                i = pos + m
-            else:
-                raise CorruptionError("terminated strings cannot nest")
+        while hit < 0:
+            i = ~hit  # s[i] is the first byte where s[pos:] and the label differ
             hops = (i - pos) >> lam_bits
             c = (s[i] << lam_bits) | ((i - pos) & off_mask)
             while hops:
@@ -115,9 +105,10 @@ class Dictionary:
             # an edge can carry the terminator itself; the residual after
             # it is the empty keyword, which s[n:] spells
             pos = i + 1 if i < n else n
-            payload = access(u)
-            if payload is None:
+            hit = match(u, s, pos, n)
+            if hit is None:
                 raise CorruptionError(f"node {u} has no label record")
+        return u, hit, 0, None, 0
 
     def insert(self, keyword, value: int) -> bool:
         """Map keyword to value; False if it is already present.
@@ -129,10 +120,10 @@ class Dictionary:
         value = operator.index(value)
         if not 0 <= value < NO_VALUE:
             raise ValueError(f"value must be in [0, {NO_VALUE})")
-        u, payload, hops, c, i = self._walk(s)
+        u, held, hops, c, i = self._walk(s)
         nlm = self._nlm
-        if payload is not None:
-            if payload.value != NO_VALUE:
+        if held is not None:
+            if held != NO_VALUE:
                 return False
             nlm.update_value(u, value)
         elif c is None:
@@ -158,8 +149,8 @@ class Dictionary:
         Purely structural: a located node may still hold the cleared-value
         marker left behind by delete().
         """
-        u, payload = self._walk(s)[:2]
-        return None if payload is None else (u, payload)
+        u, held = self._walk(s)[:2]
+        return None if held is None else (u, self._nlm.access(u))
 
     def lookup(self, keyword) -> Optional[int]:
         """Value stored for keyword, or None. Malformed keywords are absent."""
@@ -167,11 +158,8 @@ class Dictionary:
             s = validate_keyword(keyword)
         except InvalidKeyword:
             return None
-        payload = self._walk(s)[1]
-        if payload is None:
-            return None
-        value = payload.value
-        return None if value == NO_VALUE else value
+        value = self._walk(s)[1]
+        return None if value is None or value == NO_VALUE else value
 
     def delete(self, keyword) -> bool:
         """Remove keyword; False if it was not present."""
@@ -179,8 +167,8 @@ class Dictionary:
             s = validate_keyword(keyword)
         except InvalidKeyword:
             return False
-        u, payload = self._walk(s)[:2]
-        if payload is None or payload.value == NO_VALUE:
+        u, held = self._walk(s)[:2]
+        if held is None or held == NO_VALUE:
             return False
         self._nlm.update_value(u, NO_VALUE)
         self._live -= 1

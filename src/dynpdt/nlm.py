@@ -1,30 +1,41 @@
 """Node label maps: node id -> (label suffix, payload value).
 
-Records are immutable, exact-size bytes objects laid out as
-
-    VByte(stored length + 2) | label bytes | 4-byte little-endian value
-
-where the stored label omits the trailing terminator byte. The +2 shift
-keeps two one-byte records free: 0x01 is a step node, which carries no
-value, and 0x00 marks an id that has no record. Without the shift a step
-record would be indistinguishable from a keyword whose remaining suffix is
-empty.
-
 One layout serves both of the paper's maps and all four node tables. Ids
 are bucketed into groups of group_size consecutive ids, and each group is
-one bytes object holding one entry per id, so a record's rank inside its
-group is nid mod group_size; locating it skips over its predecessors using
-the VByte lengths. The sparse map (slm) takes config.group_size, and the
-plain map (plm) is group_size 1, where every group is a single record. A
-group no id has written is a shared run of group_size 0x00 bytes, and an
-unwritten id inside a written group costs one byte.
+one immutable, exact-size bytes object laid out lengths first:
 
-Every record is placed through _insert(nid, record), which rebuilds its
-group, and an update_value replaces the group with a rebuilt one. The group
-list extends when an id lands past its end, so dense ids, which are stable
-under growth, need nothing more. Slot ids move when the table doubles:
-remap then reads each old group once and re-inserts each record at its new
-id into a fresh map.
+    one code byte per id | the payloads of the ids that have one, in id order
+
+Code 0 marks an id with no record and 1 a step node, which carries no
+value; neither has a payload. A keyword's payload is its label, stored
+without the trailing terminator byte, then its value in 4 little-endian
+bytes, and its code is the payload's size: 4-254, for labels of up to 250
+bytes. A longer label takes the escape code 255, and its payload starts
+with the label length in VByte. An empty label is code 4, so it is never
+mistaken for a step.
+
+A record's rank inside its group is nid mod group_size, and with h the
+codes before it, buf[:rank], its payload starts at
+group_size + sum(h) - h.count(1): two passes in C. Only a group with an
+escape among those codes steps over its payloads one by one. The sparse map
+(slm) takes config.group_size, and the plain map (plm) is group_size 1,
+where a group is a single record, its code and then its payload. A group
+no id has written is a shared run of zero codes, an unwritten id inside a
+written group costs its code byte, and at group_size 1 every step node
+shares one b"\\x01" group.
+
+The trie walk asks match() whether a node's label equals the rest of the
+keyword and gets the value or the first differing byte, with no label or
+Payload built; access() decodes a whole record for everything else.
+
+Every record is placed through _insert(nid, record), which takes it in its
+one-id form, code then payload, and rebuilds its group around it; at group
+size 1 the record becomes the group as it is. An update_value replaces the
+group with a rebuilt one. The group list extends when an id lands past its
+end, so dense ids, which are stable under growth, need nothing more. Slot
+ids move when the table doubles: remap then reads each old group once and
+re-inserts each record at its new id into a fresh map, which at group size
+1 moves each group object itself.
 """
 
 from __future__ import annotations
@@ -42,22 +53,36 @@ class Payload(NamedTuple):
 
 
 _STEP = Payload(b"", None)
-_new = tuple.__new__  # builds a Payload without NamedTuple.__new__'s frame
 _STEP_RECORD = b"\x01"
+_ESCAPE = 255  # the code of a label too long for a one-byte size
+_LONG = _ESCAPE - 4  # the shortest label that takes the escape
 # the group no id has written yet, one per width, shared by every map
 _EMPTY = {1 << i: bytes(1 << i) for i in range(7)}
 
 
-def _skip_records(buf: bytes, pos: int, count: int) -> int:
-    while count:
-        field = buf[pos]
-        if field < 0x80:
-            pos += field + 3 if field > 1 else 1
-        else:
-            field, used = vbyte_decode(buf, pos)
-            pos += used + field + 2
-        count -= 1
+def _payload_start(buf: bytes, ell: int, rank: int) -> int:
+    """Offset of the payload of the id at rank in group buf of width ell."""
+    if not rank:
+        return ell
+    h = buf[:rank]
+    if _ESCAPE not in h:
+        return ell + sum(h) - h.count(1)
+    pos = ell
+    for code in h:
+        if code == _ESCAPE:
+            m, used = vbyte_decode(buf, pos)
+            pos += used + m + 4
+        elif code > 1:
+            pos += code
     return pos
+
+
+def _label_span(buf: bytes, code: int, start: int) -> tuple[int, int]:
+    """(start, end) of the label in the keyword payload at start."""
+    if code == _ESCAPE:
+        m, used = vbyte_decode(buf, start)
+        return start + used, start + used + m
+    return start, start + code - 4
 
 
 class LabelMap:
@@ -73,7 +98,9 @@ class LabelMap:
         self._groups: list[bytes] = []
 
     def associate(self, nid: int, label: bytes, value: int) -> None:
-        self._insert(nid, vbyte_encode(len(label) + 2) + label + value.to_bytes(4, "little"))
+        m = len(label)
+        code = bytes((m + 4,)) if m < _LONG else bytes((_ESCAPE,)) + vbyte_encode(m)
+        self._insert(nid, code + label + value.to_bytes(4, "little"))
 
     def associate_step(self, nid: int) -> None:
         self._insert(nid, _STEP_RECORD)
@@ -84,17 +111,21 @@ class LabelMap:
         if g >= len(groups):
             groups.extend([self._empty] * (g + 1 - len(groups)))
         buf = groups[g]
-        pos = _skip_records(buf, 0, nid & self._mask)
-        if buf[pos]:
+        rank = nid & self._mask
+        if buf[rank]:
             raise ContractViolation(f"id {nid} already has a record")
-        # at group_size 1 both slices are empty: the group is the record
-        groups[g] = buf[:pos] + record + buf[pos + 1:]
+        if self._ell == 1:  # the record is the group, shared or moved as it is
+            groups[g] = record
+            return
+        start = _payload_start(buf, self._ell, rank)
+        groups[g] = b"".join((buf[:rank], record[:1], buf[rank + 1:start],
+                              record[1:], buf[start:]))
 
     def _record(self, nid: int, new_value: int | None = None) -> Payload | None:
         """Decode nid's record, or rewrite it with new_value as its value.
 
         This is access() when new_value is None and update_value()
-        otherwise, so both find records through the same code in one frame.
+        otherwise, so both find records through the same code.
         """
         g = nid >> self._shift
         try:
@@ -102,27 +133,14 @@ class LabelMap:
         except IndexError:  # past the last group, which reads as unwritten
             buf = self._empty
         rank = nid & self._mask
-        pos = 0
-        while rank:
-            field = buf[pos]
-            if field < 0x80:
-                pos += field + 3 if field > 1 else 1
-            else:
-                field, used = vbyte_decode(buf, pos)
-                pos += used + field + 2
-            rank -= 1
-        field = buf[pos]
-        if field < 2:
+        code = buf[rank]
+        if code < 2:
             if new_value is not None:
                 raise ContractViolation(f"id {nid} has no keyword record")
-            return _STEP if field else None
-        start = pos + 1
-        if field >= 0x80:
-            field, used = vbyte_decode(buf, pos)
-            start = pos + used
-        end = start + field - 2
+            return _STEP if code else None
+        start, end = _label_span(buf, code, _payload_start(buf, self._ell, rank))
         if new_value is None:
-            return _new(Payload, (buf[start:end], int.from_bytes(buf[end:end + 4], "little")))
+            return Payload(buf[start:end], int.from_bytes(buf[end:end + 4], "little"))
         self._groups[g] = buf[:end] + new_value.to_bytes(4, "little") + buf[end + 4:]
         return None
 
@@ -131,20 +149,72 @@ class LabelMap:
     def update_value(self, nid: int, value: int) -> None:
         self._record(nid, value)
 
-    def _spans(self):
-        """(id, group, start, end) of every record, in id order."""
-        shift, empty = self._shift, self._empty
+    def match(self, nid: int, s: bytes, pos: int, n: int) -> int | None:
+        """Compare nid's label with s[pos:n] in place, where s[n] ends s.
+
+        Returns the stored value (NO_VALUE included) when they are equal,
+        ~i when s[i] is the first byte at which s[pos:] and the terminated
+        label differ, and None when nid has no keyword record. Only a match
+        decodes the value. This is the trie walk's one call per labeled
+        node, so the rank skip of _payload_start is inlined.
+        """
+        try:
+            buf = self._groups[nid >> self._shift]
+        except IndexError:  # past the last group, which reads as unwritten
+            return None
+        rank = nid & self._mask
+        code = buf[rank]
+        if code < 2:
+            return None
+        start = self._ell
+        if rank:
+            h = buf[:rank]
+            if _ESCAPE in h:
+                start = _payload_start(buf, start, rank)
+            else:
+                start += sum(h) - h.count(1)
+        if code == _ESCAPE:
+            m, used = vbyte_decode(buf, start)
+            start += used
+        else:
+            m = code - 4
+        end = start + m
+        r = n - pos
+        if m == r and s.startswith(buf[start:end], pos):
+            return int.from_bytes(buf[end:end + 4], "little")
+        # the label is stored without its terminator, so when the common
+        # window matches the strings diverge where the shorter one ends
+        w = m if m <= r else r + 1
+        x = int.from_bytes(s[pos:pos + w], "big") ^ int.from_bytes(buf[start:start + w], "big")
+        if x:
+            return ~(pos + w - ((x.bit_length() + 7) >> 3))
+        if m < r:
+            return ~(pos + m)
+        raise CorruptionError("terminated strings cannot nest")
+
+    def _records(self):
+        """(id, record) of every record in id order, each in its one-id form.
+
+        At group_size 1 the record is the group object itself.
+        """
+        ell, shift, empty = self._ell, self._shift, self._empty
         for g, buf in enumerate(self._groups):
             if buf is empty:
                 continue
-            pos = 0
-            for nid in range(g << shift, (g + 1) << shift):
-                if buf[pos]:
-                    end = _skip_records(buf, pos, 1)
-                    yield nid, buf, pos, end
-                    pos = end
-                else:
-                    pos += 1
+            if ell == 1:
+                yield g, buf
+                continue
+            pos = ell
+            for rank in range(ell):
+                code = buf[rank]
+                if not code:
+                    continue
+                if code == 1:
+                    yield (g << shift) + rank, _STEP_RECORD
+                    continue
+                end = _label_span(buf, code, pos)[1] + 4
+                yield (g << shift) + rank, buf[rank:rank + 1] + buf[pos:end]
+                pos = end
 
     def remap(self, remap, new_capacity: int) -> None:
         """Move every record to its new id.
@@ -159,23 +229,24 @@ class LabelMap:
         fresh = LabelMap(self._ell)
         fresh._groups = [self._empty] * -(-new_capacity >> self._shift)
         insert = fresh._insert
-        for old, buf, pos, end in self._spans():
+        for old, record in self._records():
             new = remap[old]
             if new < 0:
                 raise CorruptionError(f"id {old} has a record but no new id")
             try:
-                insert(new, buf[pos:end])
+                insert(new, record)
             except ContractViolation:
                 raise CorruptionError(f"two records map to new id {new}") from None
         self._groups = fresh._groups
 
     def iter_items(self):
-        for nid, buf, pos, end in self._spans():
-            if buf[pos] == 1:
+        for nid, record in self._records():
+            code = record[0]
+            if code == 1:
                 yield nid, _STEP
             else:
-                start = pos + vbyte_decode(buf, pos)[1]
-                yield nid, Payload(buf[start:end - 4], int.from_bytes(buf[end - 4:end], "little"))
+                start, end = _label_span(record, code, 1)
+                yield nid, Payload(record[start:end], int.from_bytes(record[end:], "little"))
 
     def memory_bytes(self) -> int:
         # the empty groups and, at group_size 1, the step record are shared

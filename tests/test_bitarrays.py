@@ -51,6 +51,22 @@ def test_intvector_fill_ones(width):
     assert vec.get(69) == vec.get(71) == ones
 
 
+@pytest.mark.parametrize("width", [1, 4, 13, 31, 32, 33, 64])
+@pytest.mark.parametrize("size", [1, 16, 63, 64, 65, 200])
+def test_nonvacant_lists_the_entries_that_are_not_all_ones(width, size):
+    # every entry value next to the all-ones one, runs of vacant chunks, and
+    # a last chunk that ends inside a word, for both fills
+    rng = random.Random(width * 1000 + size)
+    ones = (1 << width) - 1
+    for fill_ones in (False, True):
+        vec = IntVector(width, size, fill_ones)
+        for i in range(size):
+            if rng.random() < 0.3 and not 64 <= i < 128:
+                vec.set(i, rng.choice([0, 1, ones - 1, 1 << (width - 1), ones]))
+        want = [i for i in range(size) if vec.get(i) != ones]
+        assert list(vec.nonvacant()) == want
+
+
 def test_intvector_memory_scales():
     small = IntVector(8, 100).allocated_bytes
     big = IntVector(8, 10_000).allocated_bytes

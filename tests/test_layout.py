@@ -44,25 +44,25 @@ RECORDS = {
 }
 
 PLACEMENT = {
-    "pbt-plm": "7bca526298b7cf9c62977da05ea4b847fda5c275ea45e75d7c11dff712df5424",
-    "pbt-slm": "6a5161a36cec0c3a548f09a58282753437906f1acd8e2f39829391e21e0a8102",
-    "cbt-plm": "7bca526298b7cf9c62977da05ea4b847fda5c275ea45e75d7c11dff712df5424",
-    "cbt-slm": "6a5161a36cec0c3a548f09a58282753437906f1acd8e2f39829391e21e0a8102",
-    "pfkt-plm": "59685f47f42f1fa918619c51d430213b67d946d6375d9ac867eac48ed5c4af58",
-    "pfkt-slm": "89e3737f095bf1a9320d92c85d39684d1d699f604441b770251e0efd40b9fd5f",
-    "cfkt-plm": "59685f47f42f1fa918619c51d430213b67d946d6375d9ac867eac48ed5c4af58",
-    "cfkt-slm": "89e3737f095bf1a9320d92c85d39684d1d699f604441b770251e0efd40b9fd5f",
+    "pbt-plm": "bff4428c464730a29da65aae2b505e83438824af1f916ca825d5f848586f6c1f",
+    "pbt-slm": "3a8ed9a99bfd56f04534ced118c897b969cd527239f97376f3a9cb47dcdf0814",
+    "cbt-plm": "bff4428c464730a29da65aae2b505e83438824af1f916ca825d5f848586f6c1f",
+    "cbt-slm": "3a8ed9a99bfd56f04534ced118c897b969cd527239f97376f3a9cb47dcdf0814",
+    "pfkt-plm": "9e8689a958e49f958ebc83efb63c5d8f9aade931bfee1b37a18c9dda9c190f3b",
+    "pfkt-slm": "9464a9f3d19cef2f8e4fc9be8feab5bf2678aeefd8360c7be8b5de3a4db26a0e",
+    "cfkt-plm": "9e8689a958e49f958ebc83efb63c5d8f9aade931bfee1b37a18c9dda9c190f3b",
+    "cfkt-slm": "9464a9f3d19cef2f8e4fc9be8feab5bf2678aeefd8360c7be8b5de3a4db26a0e",
 }
 
 STORAGE = {
-    "pbt-plm": "ab68626f9e2ccc30a4e2b35959565681367ec1405000dca88de8aaa5b93c8610",
-    "pbt-slm": "7e441a2ba2d49313fdf51d9c4dd5b9b900c1ecfef2176b2f414d147c97219274",
-    "cbt-plm": "302e597c1eaf1cfe4e702c78b9ddc8cbccaf547989a0c06a1f73b587c484d274",
-    "cbt-slm": "f0f6d48b0dc63a5aba4f560fb4c3a5e15f105e163ee0345429f95d9cc1f1be87",
-    "pfkt-plm": "04e426b0c82d70a97523ab4f27ea3c9a05b1e9f13eb4c5afbb56e34e15054949",
-    "pfkt-slm": "d5ed7872b577501aab93a6149a0ea3d317440878916217d637ecf8e921daedcf",
-    "cfkt-plm": "c5911acaaff4a509e573ed0e12136bce812d2b8fc3374937fba0cc6be7adc901",
-    "cfkt-slm": "3a1118f9a23aeb710cf9d754161c2d3ac10d0c2a5a6025e084b2cf71aade25b8",
+    "pbt-plm": "f8473dafd8bd5e364cf1686782e7da7fb162ed7ba2a1348b4549dbee699cc4eb",
+    "pbt-slm": "cff1a33edaafdebdbcd14132df67ee0b969eee6e602af63f9381895745d032cd",
+    "cbt-plm": "adf88dd46c68aa4a73f39933f8aaa1e0519425380331d24768390a05067f3edf",
+    "cbt-slm": "05ec0436fc9833bea62d819a929008b8342ea2c1020c09c148c9b558291c85da",
+    "pfkt-plm": "8c7ff1da4fa645abfe37503f84b5946ebd2e1d48a6ac7a91b9b85b5184da29d5",
+    "pfkt-slm": "f164518cc55aaf6487a3b5b560616b6321c94fde08f79573eb977a1e3ca5b1a0",
+    "cfkt-plm": "3705f29ca0b421a098c055a0a34cb6529780aafbbbcbe7eb8a3bbcdf9c3bbb16",
+    "cfkt-slm": "721e23f3716a41e63297ed3c4303ce05a7f8b0c0a936f880155f4b52dc9e29b6",
 }
 
 

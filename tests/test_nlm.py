@@ -14,6 +14,7 @@ from hypothesis.stateful import (
 
 from dynpdt import Dictionary
 from dynpdt.core import REPRS, Config, ContractViolation, CorruptionError, NO_VALUE
+from dynpdt.hashing import vbyte_encode
 from dynpdt.nlm import LabelMap, make_label_map
 
 ELLS = (1, 8, 16, 64)  # plm's one record per group, and three slm widths
@@ -47,9 +48,10 @@ def test_roundtrip_labels_and_values(make):
         assert [nid for nid, _ in m.iter_items()] == sorted(want)
 
 
-@pytest.mark.parametrize("length", [0, 1, 125, 126, 127, 128, 300])
+@pytest.mark.parametrize("length", [0, 1, 125, 126, 127, 128, 250, 251, 300])
 def test_label_length_field_boundaries(length):
-    # the length field stores len+2, so 126 is the first two-byte field
+    # a label's code byte holds its payload size, len + 4, up to 250 bytes;
+    # from 251 on the code is an escape and a VByte length follows it
     label = bytes((i % 255) + 1 for i in range(length))
     for ell in ELLS:
         m = LabelMap(ell)
@@ -58,7 +60,8 @@ def test_label_length_field_boundaries(length):
         assert got.label == label and got.value == 42
     plain = LabelMap(1)
     plain.associate(0, label, 42)
-    assert len(plain._groups[0]) == (1 if length < 126 else 2) + length + 4
+    head = 1 if length < 251 else 1 + len(vbyte_encode(length))
+    assert len(plain._groups[0]) == head + length + 4
 
 
 def test_empty_label_is_not_a_step():
@@ -77,6 +80,58 @@ def test_access_absent_returns_none():
         m.associate(70, b"x", 1)
         assert m.access(69) is None and m.access(71) is None
         assert m.access(1000) is None  # past the last group
+
+
+def reference_match(want, s, pos):
+    """match() spelled out for the record want, a (label, value) or None."""
+    if want is None or want[1] is None:
+        return None
+    label, value = want
+    rest, stored = s[pos:], label + b"\x00"
+    if rest == stored:
+        return value
+    for k, (a, b) in enumerate(zip(rest, stored)):
+        if a != b:
+            return ~(pos + k)
+    return CorruptionError  # one terminated string is a prefix of the other
+
+
+def check_match(m, nid, want, s, pos):
+    expected = reference_match(want, s, pos)
+    if expected is CorruptionError:
+        with pytest.raises(CorruptionError):
+            m.match(nid, s, pos, len(s) - 1)
+    else:
+        assert m.match(nid, s, pos, len(s) - 1) == expected
+
+
+@pytest.mark.parametrize("ell", ELLS)
+def test_match_agrees_with_access(ell):
+    # the target sits after a label long enough to take the escape code, in
+    # the same group when ell > 1, so its rank skip takes the fallback loop
+    long_id, step_id, empty_id, unwritten = ell, ell + 1, ell + 2, ell + 3
+    target = max(2 * ell - 1, 5)
+    label, long_label = b"example.org/a", bytes(range(1, 256)) + b"tail"
+    m = LabelMap(ell)
+    m.associate(0, b"root", 1)
+    m.associate(long_id, long_label, 2)
+    m.associate_step(step_id)
+    m.associate(empty_id, b"", NO_VALUE)
+    m.associate(target, label, 3)
+    assert m._groups[long_id // ell][0] == 255  # escaped
+    residuals = [label, label[:5], label[:0], label + b"/b", b"x" + label[1:],
+                 label[:7] + b"O" + label[8:], long_label, long_label[:-1] + b"T",
+                 long_label[:280], long_label + b"s"]
+    for nid in (0, long_id, step_id, empty_id, unwritten, target, 1000):
+        got = m.access(nid)
+        want = got if got is None else (got.label, got.value)
+        for rest in residuals:
+            for head in (b"", b"abc"):
+                check_match(m, nid, want, head + rest + b"\x00", len(head))
+    assert m.match(target, b"abc" + label + b"\x00", 3, 3 + len(label)) == 3
+    assert m.match(empty_id, b"k\x00", 1, 1) == NO_VALUE
+    for nid in (step_id, unwritten, 1000):
+        assert m.match(nid, label + b"\x00", 0, len(label)) is None
 
 
 @pytest.mark.parametrize("ell", ELLS)
@@ -307,9 +362,10 @@ class LabelMapMachine(RuleBasedStateMachine):
         self.model = {}
         self.cap = 16
 
-    # labels from 126 bytes on take a two-byte length field
+    # labels from 251 bytes on take the escape code and a VByte length
     @rule(nid=st.integers(0, 1 << 16),
-          label=st.binary(max_size=12) | st.binary(min_size=120, max_size=140),
+          label=st.binary(max_size=12) | st.binary(min_size=120, max_size=140)
+          | st.binary(min_size=245, max_size=260),
           value=st.integers(0, NO_VALUE - 1))
     def associate(self, nid, label, value):
         nid %= self.cap
@@ -347,6 +403,19 @@ class LabelMapMachine(RuleBasedStateMachine):
         got = self.m.access(nid)
         want = self.model.get(nid)
         assert (got if got is None else (got.label, got.value)) == want
+
+    @rule(data=st.data(), head=st.binary(max_size=3), cut=st.integers(0, 260),
+          tail=st.binary(max_size=3))
+    def match(self, data, head, cut, tail):
+        # mostly an id that has a record, with a residual sharing up to cut
+        # bytes with its label; s[:pos] is anything, and s ends at its only
+        # 0x00
+        ids = st.integers(0, 2 * self.cap - 1)
+        nid = data.draw(st.sampled_from(sorted(self.model)) | ids if self.model else ids)
+        want = self.model.get(nid)
+        label = want[0] if want else b""
+        s = head + (label[:cut] + tail).replace(b"\x00", b"\x01") + b"\x00"
+        check_match(self.m, nid, want, s, len(head))
 
     @precondition(lambda self: self.cap < 1024)
     @rule(data=st.data())
