@@ -205,16 +205,13 @@ class LabelMap:
                 yield g, buf
                 continue
             pos = ell
-            for rank in range(ell):
-                code = buf[rank]
-                if not code:
-                    continue
+            for rank, code in enumerate(buf[:ell]):
                 if code == 1:
                     yield (g << shift) + rank, _STEP_RECORD
-                    continue
-                end = _label_span(buf, code, pos)[1] + 4
-                yield (g << shift) + rank, buf[rank:rank + 1] + buf[pos:end]
-                pos = end
+                elif code:
+                    end = pos + code if code != _ESCAPE else _label_span(buf, code, pos)[1] + 4
+                    yield (g << shift) + rank, buf[rank:rank + 1] + buf[pos:end]
+                    pos = end
 
     def remap(self, remap, new_capacity: int) -> None:
         """Move every record to its new id.
