@@ -178,6 +178,10 @@ class LabelMap:
             start += used
         else:
             m = code - 4
+        # a non-empty label never starts with 0x00, the byte at s[n], so a
+        # differing first byte decides a mismatch, an empty residual included
+        if m and s[pos] != buf[start]:
+            return ~pos
         end = start + m
         r = n - pos
         if m == r and s.startswith(buf[start:end], pos):
