@@ -1,10 +1,12 @@
 """Dynamic space-efficient keyword dictionary on a path-decomposed trie."""
 
 from .analysis import (
+    MatchProfile,
     ShapeStats,
     anticentroid_bound,
     centroid_bound,
     decomposition_bounds,
+    match_profile,
     nonstep_path_nodes,
     shape_stats,
 )
@@ -30,12 +32,14 @@ __all__ = [
     "DynPdtError",
     "EmptyCorpus",
     "InvalidKeyword",
+    "MatchProfile",
     "NO_VALUE",
     "ResourceExhausted",
     "ShapeStats",
     "anticentroid_bound",
     "centroid_bound",
     "decomposition_bounds",
+    "match_profile",
     "nonstep_path_nodes",
     "shape_stats",
     "__version__",

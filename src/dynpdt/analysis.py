@@ -102,6 +102,63 @@ def nonstep_path_nodes(d: Dictionary, keyword) -> int:
     return 1 + _labeled_edges_above(d, hit[0])
 
 
+@dataclass(frozen=True)
+class MatchProfile:
+    """Label comparisons made by a run of lookups; counts are exact."""
+
+    lookups: int
+    labels: int      # label-map match() calls, one per labeled node reached
+    mismatches: int  # calls that returned a differing byte, not a value
+    first_byte: int  # mismatches at the first byte of the residual keyword
+
+    @property
+    def labels_per_lookup(self) -> float:
+        return self.labels / self.lookups
+
+    @property
+    def first_byte_pct(self) -> float:
+        """Share of mismatches the residual's first byte decided, in percent."""
+        return 100 * self.first_byte / self.mismatches if self.mismatches else 0.0
+
+
+def match_profile(d: Dictionary, keywords) -> MatchProfile:
+    """Look up every keyword and count the label comparisons on the way.
+
+    The label map's match() is wrapped on d's instance for the duration of
+    the call, and the previous attribute is restored afterwards, even when
+    a lookup raises. For keywords that are all present, labels_per_lookup
+    is the mean of nonstep_path_nodes over them.
+    """
+    nlm = d._nlm
+    saved = vars(nlm).get("match")
+    inner = nlm.match
+    lookups = labels = mismatches = first_byte = 0
+
+    def match(nid, s, pos, n):
+        nonlocal labels, mismatches, first_byte
+        got = inner(nid, s, pos, n)
+        labels += 1
+        if got is not None and got < 0:
+            mismatches += 1
+            if ~got == pos:
+                first_byte += 1
+        return got
+
+    nlm.match = match
+    try:
+        for keyword in keywords:
+            d.lookup(keyword)
+            lookups += 1
+    finally:
+        if saved is None:
+            del nlm.match
+        else:
+            nlm.match = saved
+    if not lookups:
+        raise EmptyCorpus("no keywords given")
+    return MatchProfile(lookups, labels, mismatches, first_byte)
+
+
 def centroid_bound(keywords) -> float:
     """Least attainable ave_height for the keyword set.
 

@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import decomposition_bounds, shape_stats
+from .analysis import decomposition_bounds, match_profile, shape_stats
 from .core import Config, DynPdtError, EmptyCorpus, GROUP_SIZES, LABEL_MAPS, REPRS
 from .dictionary import Dictionary
 
@@ -148,6 +148,9 @@ def run_bench(args) -> tuple[dict, int]:
 
     best_hit, hit_found = _time_lookups(d.lookup, sample, args.repeats)
     best_miss, miss_found = _time_lookups(d.lookup, misses, args.repeats)
+    # every sampled key was inserted, and a miss that holds a byte no key
+    # holds cannot have been: either answer going wrong is a failed run
+    wrong = hit_found < len(sample) or (ub is not None and miss_found > 0)
     rep.update({
         "queries": len(sample),
         "repeats": args.repeats,
@@ -156,18 +159,21 @@ def run_bench(args) -> tuple[dict, int]:
         "hit_rate": round(hit_found / len(sample), 6),
         "miss_hit_rate": round(miss_found / len(sample), 6),
     })
-    return rep, 0
+    return rep, 1 if wrong else 0
 
 
 def run_stats(args) -> tuple[dict, int]:
-    _, d, rep = _load_and_build(args)
+    keys, d, rep = _load_and_build(args)
     st = shape_stats(d)
+    mp = match_profile(d, keys)
     rep.update({
         "step_count": st.step_count,
         "steps_pct": round(st.steps_pct, 6),
         "nonstep_count": st.nonstep_count,
         "ave_height": round(st.ave_height, 4),
         "ave_nll": round(st.ave_nll, 4),
+        "labels_per_hit": round(mp.labels_per_lookup, 4),
+        "first_byte_pct": round(mp.first_byte_pct, 2),
     })
     return rep, 0
 

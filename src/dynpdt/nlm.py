@@ -26,7 +26,10 @@ shares one b"\\x01" group.
 
 The trie walk asks match() whether a node's label equals the rest of the
 keyword and gets the value or the first differing byte, with no label or
-Payload built; access() decodes a whole record for everything else.
+Payload built; access() decodes a whole record for everything else. A
+non-empty label whose first byte differs from the keyword's next byte is
+answered from that byte alone, before any slice: no label starts with the
+0x00 terminator, so this also decides an empty rest of the keyword.
 
 Every record is placed through _insert(nid, record), which takes it in its
 one-id form, code then payload, and rebuilds its group around it; at group
@@ -155,8 +158,10 @@ class LabelMap:
         Returns the stored value (NO_VALUE included) when they are equal,
         ~i when s[i] is the first byte at which s[pos:] and the terminated
         label differ, and None when nid has no keyword record. Only a match
-        decodes the value. This is the trie walk's one call per labeled
-        node, so the rank skip of _payload_start is inlined.
+        decodes the value. A non-empty label that differs from s at s[pos]
+        returns ~pos from that one byte; the rest are compared whole. This
+        is the trie walk's one call per labeled node, so the rank skip of
+        _payload_start is inlined.
         """
         try:
             buf = self._groups[nid >> self._shift]

@@ -18,6 +18,7 @@ from dynpdt import (
     anticentroid_bound,
     centroid_bound,
     decomposition_bounds,
+    match_profile,
     nonstep_path_nodes,
     shape_stats,
 )
@@ -194,6 +195,46 @@ def test_path_nodes_absent_key_raises():
     d = build([b"here"])
     with pytest.raises(KeyError):
         nonstep_path_nodes(d, b"gone")
+
+
+def test_match_profile_counts_path_labels(combo, small_words):
+    # a hit compares one label per labeled node on its path, and every one
+    # but its own node's returns a differing byte
+    r, m = combo
+    d = Dictionary(Config(trie_repr=r, label_map=m, offset_limit=8,
+                          initial_capacity=64))
+    for i, w in enumerate(small_words):
+        d.insert(w, i)
+    prof = match_profile(d, small_words)
+    assert prof.lookups == len(small_words)
+    assert prof.labels == sum(nonstep_path_nodes(d, w) for w in small_words)
+    assert prof.mismatches == prof.labels - prof.lookups
+    assert 0 < prof.first_byte <= prof.mismatches
+    assert "match" not in vars(d._nlm)  # the class's method serves again
+
+
+def test_match_profile_first_byte_worked_example():
+    # below the root, "technique", "technix" and "techni" reach the node
+    # labeled "cs" with residuals "que", "x" and "" (the terminator), all
+    # differing at byte 0; "technically"'s residual "cally" differs at byte 1
+    d = build(TECH_WORDS)
+    prof = match_profile(d, TECH_WORDS + [b"technix", b"techni"])
+    assert (prof.lookups, prof.labels, prof.mismatches, prof.first_byte) == (6, 13, 9, 3)
+    assert prof.labels_per_lookup == 13 / 6 and prof.first_byte_pct == 100 * 3 / 9
+    with pytest.raises(EmptyCorpus):
+        match_profile(d, [])
+
+
+def test_match_profile_restores_the_wrapped_match():
+    d = build(TECH_WORDS)
+
+    def broken(*args):
+        raise RuntimeError("label map fault")
+
+    d._nlm.match = broken
+    with pytest.raises(RuntimeError):
+        match_profile(d, [b"technology"])
+    assert vars(d._nlm)["match"] is broken
 
 
 def test_census_counts_deleted_keywords(small_words):

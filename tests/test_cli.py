@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import random_words
+from dynpdt import Config, Dictionary, nonstep_path_nodes
 from dynpdt.cli import load_corpus, main, shuffle_keys
 
 
@@ -106,6 +107,18 @@ def test_bench_hits_and_misses(corpus, capsys):
     assert rep["miss_ns_per_op"] > 0
 
 
+@pytest.mark.parametrize("wrong", [lambda self, key: None, lambda self, key: 7],
+                         ids=["hits-lost", "misses-found"])
+def test_bench_fails_on_wrong_lookups(corpus, capsys, monkeypatch, wrong):
+    # a corpus of lowercase words leaves unused bytes, so no constructed
+    # miss can be stored and each must come back absent
+    monkeypatch.setattr(Dictionary, "lookup", wrong)
+    rc, out = run(capsys, "bench", corpus, "--capacity", 256,
+                  "--queries", 20, "--repeats", 1)
+    assert rc == 1
+    assert json.loads(out)["queries"] == 20
+
+
 def test_stats_reports_shape(corpus, capsys):
     rc, out = run(capsys, "stats", corpus, "--capacity", 256, "--lambda", 8)
     assert rc == 0
@@ -114,6 +127,14 @@ def test_stats_reports_shape(corpus, capsys):
     assert 0 <= rep["steps_pct"] < 1
     assert rep["ave_height"] > 0
     assert rep["ave_nll"] > 1
+    # the trie's shape depends on the insertion order, the corpus's here
+    words, _ = load_corpus(corpus)
+    d = Dictionary(Config(offset_limit=8))
+    for i, w in enumerate(words):
+        d.insert(w, i)
+    paths = [nonstep_path_nodes(d, w) for w in words]
+    assert rep["labels_per_hit"] == round(sum(paths) / len(paths), 4)
+    assert 0 < rep["first_byte_pct"] <= 100
 
 
 def test_bounds_brackets_stats(corpus, capsys):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import TECH_WORDS, random_words, synthetic_urls
+from conftest import TECH_WORDS, dna_kmers, random_words, synthetic_urls
 from dynpdt import Config, Dictionary, InvalidKeyword, NO_VALUE, ResourceExhausted
 from dynpdt.core import REPRS
 from dynpdt.nlm import LabelMap
@@ -253,6 +253,30 @@ def test_mixed_ops_match_oracle(combo):
             assert sorted(d.items()) == sorted(oracle.items())
             assert len(d) == oracle.key_count
     assert sorted(d.items()) == sorted(oracle.items())
+
+
+@pytest.mark.parametrize("repr_, nlm", [("pbt", "plm"), ("cfkt", "slm")])
+def test_kmers_match_oracle(repr_, nlm):
+    # fixed-length ACGT keys: below the root, most labels differ from the
+    # rest of the keyword at its first byte
+    d = make(repr_, nlm, capacity=16)
+    oracle = OracleDictionary()
+    keys = dna_kmers(1500, seed=9)
+    stored, absent = keys[:1000], keys[1000:]
+    for i, k in enumerate(stored):
+        assert d.insert(k, i) == oracle.insert(k, i)
+    probes = keys + [k[:-1] for k in stored[:200]] + [k + b"A" for k in stored[:200]]
+    for k in probes:
+        assert d.lookup(k) == oracle.lookup(k)
+    gone = stored[::3]
+    for k in gone + absent[:100]:
+        assert d.delete(k) == oracle.delete(k)
+    for i, k in enumerate(gone[::2]):  # revived in place with new values
+        assert d.insert(k, 5000 + i) == oracle.insert(k, 5000 + i)
+    for k in probes:
+        assert d.lookup(k) == oracle.lookup(k)
+    assert sorted(d.items()) == sorted(oracle.items())
+    assert len(d) == oracle.key_count
 
 
 @pytest.mark.parametrize("nlm, bound", [("slm", 2.5), ("plm", 1.0)])

@@ -120,8 +120,9 @@ def test_match_agrees_with_access(ell):
     m.associate(target, label, 3)
     assert m._groups[long_id // ell][0] == 255  # escaped
     residuals = [label, label[:5], label[:0], label + b"/b", b"x" + label[1:],
-                 label[:7] + b"O" + label[8:], long_label, long_label[:-1] + b"T",
-                 long_label[:280], long_label + b"s"]
+                 label[:1] + b"X" + label[2:], label[:7] + b"O" + label[8:],
+                 long_label, b"\x02" + long_label[1:], long_label[:1] + b"X" + long_label[2:],
+                 long_label[:-1] + b"T", long_label[:280], long_label + b"s"]
     for nid in (0, long_id, step_id, empty_id, unwritten, target, 1000):
         got = m.access(nid)
         want = got if got is None else (got.label, got.value)
@@ -130,6 +131,16 @@ def test_match_agrees_with_access(ell):
                 check_match(m, nid, want, head + rest + b"\x00", len(head))
     assert m.match(target, b"abc" + label + b"\x00", 3, 3 + len(label)) == 3
     assert m.match(empty_id, b"k\x00", 1, 1) == NO_VALUE
+    # the first byte alone decides these: an empty residual against every
+    # non-empty label, a non-empty one against the empty label, and the
+    # escaped label against a residual that differs from it at byte 0
+    for nid in (0, long_id, target):
+        assert m.match(nid, b"abc\x00", 3, 3) == ~3
+    assert m.match(empty_id, b"abc\x00", 1, 3) == ~1
+    assert m.match(long_id, b"\x02" + long_label[1:] + b"\x00", 0, len(long_label)) == ~0
+    # agreeing on byte 0 takes the full comparison, which finds byte 1
+    assert m.match(target, b"eX\x00", 0, 2) == ~1
+    assert m.match(long_id, b"ab\x01X\x00", 2, 4) == ~3
     for nid in (step_id, unwritten, 1000):
         assert m.match(nid, label + b"\x00", 0, len(label)) is None
 
