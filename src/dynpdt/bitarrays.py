@@ -18,13 +18,12 @@ class IntVector:
     as a vacant slot.
     """
 
-    __slots__ = ("width", "size", "_words", "_mask")
+    __slots__ = ("width", "_words", "_mask")
 
     def __init__(self, width: int, size: int, fill_ones: bool = False) -> None:
         if not 1 <= width <= 64:
             raise ContractViolation(f"entry width {width} outside [1, 64]")
         self.width = width
-        self.size = size
         self._mask = (1 << width) - 1
         # repeating a one-word array allocates the words once, at their size
         nwords = (width * size + 63) >> 6
@@ -52,38 +51,6 @@ class IntVector:
             keep = self.width - spill
             words[w + 1] = (words[w + 1] & ~((1 << spill) - 1)) | (v >> keep)
 
-    def nonvacant(self):
-        """Indices of the entries that are not all ones, in increasing order.
-
-        The words are read 64 entries at a time, which span exactly width
-        words, as one integer y whose bits are inverted, so a used entry is
-        nonzero in y. Adding each entry's low width - 1 bits to the same
-        bits all set carries into the entry's top bit exactly when one of
-        them is set, and never past it; or-ing y back in covers the top bit
-        itself. What is left at the top bits marks the used entries.
-        """
-        width = self.width
-        full = (1 << (width << 6)) - 1
-        low = full // self._mask  # the lowest bit of each entry
-        top = low << (width - 1)
-        rest = top - low
-        words, size = self._words, self.size
-        for base in range(0, size, 64):
-            chunk = words[(base >> 6) * width:((base >> 6) + 1) * width]
-            if sys.byteorder == "big":
-                chunk.byteswap()
-            if base + 64 > size:  # the last entries end inside the chunk
-                full = (1 << (size - base) * width) - 1
-            y = ~int.from_bytes(chunk, "little") & full
-            z = (((y & rest) + rest) | y) & top
-            while z:
-                bit = z & -z
-                yield base + bit.bit_length() // width - 1
-                z ^= bit
-
     @property
     def allocated_bytes(self) -> int:
         return sys.getsizeof(self._words)
-
-    def __len__(self) -> int:
-        return self.size

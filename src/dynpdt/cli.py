@@ -214,16 +214,17 @@ def _parser() -> argparse.ArgumentParser:
     corpus.add_argument("--format", choices=("json", "tsv"), default="json",
                         help="report format (default: json)")
     shared = argparse.ArgumentParser(add_help=False, parents=[corpus])
-    shared.add_argument("--repr", choices=REPRS, default="cbt",
-                        help="trie backend (default: cbt)")
-    shared.add_argument("--nlm", choices=LABEL_MAPS, default="slm",
-                        help="label map layout (default: slm)")
-    shared.add_argument("--lambda", dest="offset_limit", type=int, default=64,
-                        metavar="N", help="edge offset limit (default: 64)")
-    shared.add_argument("--ell", type=int, choices=GROUP_SIZES, default=16,
-                        help="sparse label map group size (default: 16)")
-    shared.add_argument("--capacity", type=int, default=1 << 16, metavar="N",
-                        help="initial table slots, power of two (default: 65536)")
+    default = Config()
+    shared.add_argument("--repr", choices=REPRS, default=default.trie_repr,
+                        help="trie backend (default: %(default)s)")
+    shared.add_argument("--nlm", choices=LABEL_MAPS, default=default.label_map,
+                        help="label map layout (default: %(default)s)")
+    shared.add_argument("--lambda", dest="offset_limit", type=int, default=default.offset_limit,
+                        metavar="N", help="edge offset limit (default: %(default)s)")
+    shared.add_argument("--ell", type=int, choices=GROUP_SIZES, default=default.group_size,
+                        help="sparse label map group size (default: %(default)s)")
+    shared.add_argument("--capacity", type=int, default=default.initial_capacity, metavar="N",
+                        help="initial table slots, power of two (default: %(default)s)")
     shared.add_argument("--seed", type=int, default=None, metavar="N",
                         help="shuffle keys with this seed before building")
     shared.add_argument("--dedupe", action="store_true",

@@ -102,6 +102,8 @@ class Config:
             raise ContractViolation("initial_capacity must be a power of two >= 16")
         if self.initial_capacity > MAX_CAPACITY:
             raise ContractViolation("initial_capacity exceeds the supported maximum")
+        if self.initial_capacity.bit_length() - 1 + self.symbol_bits > 64:
+            raise ContractViolation("packed keys would exceed 64 bits")
 
     @property
     def step_code(self) -> int:

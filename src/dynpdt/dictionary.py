@@ -144,13 +144,13 @@ class Dictionary:
         return True
 
     def _locate(self, s: bytes):
-        """Walk a terminated keyword to its node; (node, payload) or None.
+        """Walk a terminated keyword to its node; (node, value) or None.
 
-        Purely structural: a located node may still hold the cleared-value
-        marker left behind by delete().
+        Purely structural: value may be the NO_VALUE marker left behind by
+        delete().
         """
         u, held = self._walk(s)[:2]
-        return None if held is None else (u, self._nlm.access(u))
+        return None if held is None else (u, held)
 
     def lookup(self, keyword) -> Optional[int]:
         """Value stored for keyword, or None. Malformed keywords are absent."""

@@ -173,7 +173,8 @@ class _HashTrie:
 
     def _used_slots(self):
         """The occupied slots, in increasing order."""
-        return self._marks.nonvacant()
+        get, vacant = self._marks.get, self._marks._mask
+        return (j for j in range(self.capacity) if get(j) != vacant)
 
     def _is_live(self, u: int) -> bool:
         return 0 <= u < self.capacity and self._marks.get(u) != self._marks._mask

@@ -2,10 +2,12 @@ import random
 import sys
 import tracemalloc
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
 from dynpdt.bitarrays import IntVector
+from dynpdt.trie_repr import _HashTrie
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 8, 31, 32, 33, 63, 64])
@@ -54,8 +56,9 @@ def test_intvector_fill_ones(width):
 @pytest.mark.parametrize("width", [1, 4, 13, 31, 32, 33, 64])
 @pytest.mark.parametrize("size", [1, 16, 63, 64, 65, 200])
 def test_nonvacant_lists_the_entries_that_are_not_all_ones(width, size):
-    # every entry value next to the all-ones one, runs of vacant chunks, and
-    # a last chunk that ends inside a word, for both fills
+    # the slot scan of every table, over marks of any width: entry values
+    # next to the all-ones one, runs of vacant words and a last entry that
+    # ends inside a word, for both fills
     rng = random.Random(width * 1000 + size)
     ones = (1 << width) - 1
     for fill_ones in (False, True):
@@ -64,7 +67,8 @@ def test_nonvacant_lists_the_entries_that_are_not_all_ones(width, size):
             if rng.random() < 0.3 and not 64 <= i < 128:
                 vec.set(i, rng.choice([0, 1, ones - 1, 1 << (width - 1), ones]))
         want = [i for i in range(size) if vec.get(i) != ones]
-        assert list(vec.nonvacant()) == want
+        table = SimpleNamespace(_marks=vec, capacity=size)
+        assert list(_HashTrie._used_slots(table)) == want
 
 
 def test_intvector_memory_scales():

@@ -84,6 +84,17 @@ def test_build_verifies_corpus(corpus, capsys):
     assert rep["memory_bytes"] > 0
 
 
+def test_build_defaults_are_config_defaults(corpus, capsys):
+    rc, out = run(capsys, "build", corpus)
+    assert rc == 0
+    rep = json.loads(out)
+    default = Config()
+    assert (rep["repr"], rep["nlm"], rep["offset_limit"], rep["group_size"],
+            rep["initial_capacity"]) == (default.trie_repr, default.label_map,
+                                         default.offset_limit, default.group_size,
+                                         default.initial_capacity)
+
+
 def test_build_all_backend_flags(corpus, capsys):
     for repr_ in ("pbt", "cbt", "pfkt", "cfkt"):
         for nlm in ("plm", "slm"):

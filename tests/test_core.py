@@ -44,6 +44,7 @@ def test_config_defaults_and_derived():
     {"group_size": 12},
     {"initial_capacity": 100},
     {"initial_capacity": 8},
+    {"offset_limit": 1 << 56},  # packed (node, code) keys would exceed 64 bits
 ])
 def test_config_rejects(kwargs):
     with pytest.raises((ContractViolation, ValueError)):

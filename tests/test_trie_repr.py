@@ -227,6 +227,11 @@ def test_growth_preserves_structure(repr_):
     oracle.check_all()
     assert b.growth_events >= 4
     assert len(remaps) == b.growth_events
+    # the scan both refills and the dense-id inverse read
+    marks = b._marks
+    used = [j for j in range(b.capacity) if marks.get(j) != marks._mask]
+    assert list(b._used_slots()) == used
+    assert len(used) == b.node_count
     for remap, new_cap in remaps:
         if repr_ in ("pbt", "cbt"):
             assert remap is not None
