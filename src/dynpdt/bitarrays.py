@@ -41,6 +41,8 @@ class IntVector:
         return v & self._mask
 
     def set(self, i: int, v: int) -> None:
+        if not 0 <= v <= self._mask:
+            raise ContractViolation(f"value {v} does not fit {self.width} bits")
         bit = i * self.width
         w = bit >> 6
         off = bit & 63

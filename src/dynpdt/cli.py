@@ -93,6 +93,7 @@ def _load_and_build(args) -> tuple[list[bytes], Dictionary, dict]:
         "capacity": d.capacity,
         "load_factor": round(d.node_count / d.capacity, 4),
         "growth_events": d.growth_events,
+        "growth_ms": round(d.growth_ns / 1e6, 3),
         "memory_bytes": d.memory_bytes(),
         "bytes_per_key": round(d.memory_bytes() / inserted, 2),
     }

@@ -244,6 +244,11 @@ class Dictionary:
     def growth_events(self) -> int:
         return self._backend.growth_events
 
+    @property
+    def growth_ns(self) -> int:
+        """Wall ns spent in the node table's doublings, label moves included."""
+        return self._backend.growth_ns
+
     def memory_bytes(self) -> int:
         """Bytes held by the trie table(s) and label storage."""
         return self._backend.memory_bytes() + self._nlm.memory_bytes()

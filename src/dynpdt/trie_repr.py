@@ -33,6 +33,16 @@ ones. There nibble 15 is vacant, 0-13 are the displacement itself and 14
 escapes to one of two small maps from slot id to displacement, each a pair
 of arrays kept in slot order: a mid map of 7-bit values for displacements
 14-141 and a spill map of full-width values past that.
+
+The per-node hooks (placement, key decoding, id claims, the slot scan and
+the refills) read and write the packed IntVector words in place, with no
+method call per entry, and each write is one bit operation on the words
+the entry spans. Two facts make that so. A vacant key or nibble entry is
+all ones, so the stored value goes in with an XOR against all ones. Slots
+are never freed, so the quotient or id entry of a slot not yet placed is
+still zero and the value goes in with an OR. Only an escaped displacement
+goes through DisplacementStore.set; IntVector.get and set serve the cold
+paths.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
+from time import perf_counter_ns
 
 from .bitarrays import IntVector
 from .core import (
@@ -54,6 +65,7 @@ from .hashing import BijectiveTransform
 _VACANT = (1 << 4) - 1                 # the nibble of an empty slot
 _SMALL_ESCAPE = _VACANT - 1            # displacement >= 14 leaves the 4-bit array
 _MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # displacement >= 142 goes to the spill table
+_WORD = (1 << 64) - 1
 
 
 class SpillTable:
@@ -142,7 +154,7 @@ class _HashTrie:
     mark its vacant slots, ``_place(k)`` stores packed key k and returns its
     slot, ``_find_slot(u, c)`` returns the slot holding edge (u, c) or None
     and underlies ``getchild``, and ``_slot_key(j)`` decodes the key stored
-    at slot j.
+    at slot j. growth_ns sums the wall time of the doublings done so far.
     """
 
     def __init__(self, config: Config, on_grow=None) -> None:
@@ -151,6 +163,7 @@ class _HashTrie:
         self._root_key = config.symbol_space - 1  # reserved code, never a real edge
         self.on_grow = on_grow
         self.growth_events = 0
+        self.growth_ns = 0
         self._init_storage(config.initial_capacity)
         root_slot = self._place(self._root_key)
         self.node_count = 1
@@ -173,8 +186,20 @@ class _HashTrie:
 
     def _used_slots(self):
         """The occupied slots, in increasing order."""
-        get, vacant = self._marks.get, self._marks._mask
-        return (j for j in range(self.capacity) if get(j) != vacant)
+        marks = self._marks  # IntVector.get, inlined
+        words = marks._words
+        width = marks.width
+        vacant = marks._mask
+        bit = 0
+        for j in range(self.capacity):
+            w = bit >> 6
+            off = bit & 63
+            h = words[w] >> off
+            if off + width > 64:
+                h |= words[w + 1] << (64 - off)
+            if h & vacant != vacant:
+                yield j
+            bit += width
 
     def _is_live(self, u: int) -> bool:
         return 0 <= u < self.capacity and self._marks.get(u) != self._marks._mask
@@ -219,6 +244,7 @@ class _HashTrie:
         """Refill the table at a larger capacity; returns the id remap or None."""
         if capacity > MAX_CAPACITY:
             raise ResourceExhausted(f"table would exceed {MAX_CAPACITY} slots")
+        t0 = perf_counter_ns()
         # build the new storage on a bare instance, then move it over
         # attribute by attribute: reading self.__dict__ (as copy() would)
         # makes CPython 3.11 take its slower lookup for self's attributes
@@ -231,6 +257,7 @@ class _HashTrie:
         self.growth_events += 1
         if self.on_grow is not None:
             self.on_grow(remap, capacity)
+        self.growth_ns += perf_counter_ns() - t0
         return remap
 
     def _refill(self, new) -> array:
@@ -279,14 +306,28 @@ class PlainBonsaiTrie(_HashTrie):
         self._table = self._marks = IntVector(width, capacity, fill_ones=True)
 
     def _place(self, k: int) -> int:
+        # forward() and the entry reads are inlined; k goes into the
+        # all-ones vacant entry with one XOR per word it spans
         mask = self._cap_mask
-        j = (k * self._tf._mult >> self._sym_bits) & mask  # forward(), inlined
+        j = (k * self._tf._mult >> self._sym_bits) & mask
         table = self._table
-        get = table.get
+        words = table._words
+        width = table.width
         vacant = table._mask
-        while get(j) != vacant:
+        while True:
+            bit = j * width
+            w = bit >> 6
+            off = bit & 63
+            h = words[w] >> off
+            if off + width > 64:
+                h |= words[w + 1] << (64 - off)
+            if h & vacant == vacant:
+                break
             j = (j + 1) & mask
-        table.set(j, k)
+        flip = (k ^ vacant) << off
+        words[w] ^= flip & _WORD
+        if off + width > 64:
+            words[w + 1] ^= flip >> 64
         return j
 
     def _find_slot(self, u: int, c: int) -> int | None:
@@ -316,7 +357,16 @@ class PlainBonsaiTrie(_HashTrie):
     getchild = _find_slot
 
     def _slot_key(self, j: int) -> int:
-        return self._table.get(j)
+        table = self._table  # IntVector.get, inlined
+        words = table._words
+        width = table.width
+        bit = j * width
+        w = bit >> 6
+        off = bit & 63
+        k = words[w] >> off
+        if off + width > 64:
+            k |= words[w + 1] << (64 - off)
+        return k & table._mask
 
     def memory_bytes(self) -> int:
         return self._table.allocated_bytes
@@ -332,7 +382,10 @@ class CompactBonsaiTrie(_HashTrie):
         self._marks = self._disp._base
 
     def _place(self, k: int) -> int:
-        hv = k * self._tf._mult  # forward() and the nibble reads are inlined
+        # forward() and the nibble reads are inlined; the quotient goes into
+        # its zero entry with an OR, a displacement below the escape value
+        # into its all-ones nibble with an XOR
+        hv = k * self._tf._mult
         zs = self._sym_bits
         mask = self._cap_mask
         i = (hv >> zs) & mask
@@ -340,8 +393,21 @@ class CompactBonsaiTrie(_HashTrie):
         j = i
         while (nibbles[j >> 4] >> ((j & 15) << 2)) & 15 != _VACANT:
             j = (j + 1) & mask
-        self._quot.set(j, hv & ((1 << zs) - 1))
-        self._disp.set(j, (j - i) & mask)
+        quot = self._quot
+        width = quot.width
+        bit = j * width
+        w = bit >> 6
+        off = bit & 63
+        q = (hv & quot._mask) << off
+        qwords = quot._words
+        qwords[w] |= q & _WORD
+        if off + width > 64:
+            qwords[w + 1] |= q >> 64
+        d = (j - i) & mask
+        if d < _SMALL_ESCAPE:
+            nibbles[j >> 4] ^= (_VACANT ^ d) << ((j & 15) << 2)
+        else:
+            self._disp.set(j, d)
         return j
 
     def _find_slot(self, u: int, c: int) -> int | None:
@@ -381,8 +447,23 @@ class CompactBonsaiTrie(_HashTrie):
     getchild = _find_slot
 
     def _slot_key(self, j: int) -> int:
-        i = (j - self._disp.get(j)) & self._cap_mask
-        return self._tf.inverse((i << self._sym_bits) | self._quot.get(j))
+        # the nibble and quotient reads and BijectiveTransform.inverse are
+        # inlined; only an escaped displacement goes through DisplacementStore
+        d = (self._marks._words[j >> 4] >> ((j & 15) << 2)) & 15
+        if d >= _SMALL_ESCAPE:
+            d = self._disp.get(j)
+        quot = self._quot
+        words = quot._words
+        width = quot.width
+        bit = j * width
+        w = bit >> 6
+        off = bit & 63
+        q = words[w] >> off
+        if off + width > 64:
+            q |= words[w + 1] << (64 - off)
+        tf = self._tf
+        i = (j - d) & self._cap_mask
+        return ((i << self._sym_bits) | (q & quot._mask)) * tf._mult_inv & tf._mask
 
     def memory_bytes(self) -> int:
         return self._quot.allocated_bytes + self._disp.memory_bytes()
@@ -392,8 +473,9 @@ class _DenseIdMixin:
     """Dense creation-order ids held in one slot-to-id array.
 
     The array answers getchild and keeps ids stable while slots move under
-    growth. parent_edge reads its inverse, which the first climb after an
-    addchild or doubling builds in one pass over the used slots; as a
+    growth. parent_edge reads its inverse, an id-to-slot array of the same
+    size that the first climb after a doubling builds in one pass over the
+    used slots and each later addchild extends by the new id's entry; as a
     derived index, like growth's remap array, memory_bytes leaves it out.
     """
 
@@ -403,9 +485,30 @@ class _DenseIdMixin:
         self._inverse = None
 
     def _claim_child(self, slot: int) -> int:
+        # the new id is the highest yet, so its entry in the ids, and in the
+        # inverse when there is one, is still zero: each write is an OR per
+        # word the entry spans
         nid = self.node_count - 1
-        self._ids.set(slot, nid)
-        self._inverse = None
+        ids = self._ids
+        width = ids.width
+        bit = slot * width
+        w = bit >> 6
+        off = bit & 63
+        v = nid << off
+        words = ids._words
+        words[w] |= v & _WORD
+        if off + width > 64:
+            words[w + 1] |= v >> 64
+        inverse = self._inverse
+        if inverse is not None:  # as wide as the ids
+            bit = nid * width
+            w = bit >> 6
+            off = bit & 63
+            v = slot << off
+            words = inverse._words
+            words[w] |= v & _WORD
+            if off + width > 64:
+                words[w + 1] |= v >> 64
         return nid
 
     def getchild(self, u: int, c: int) -> int | None:
@@ -424,7 +527,7 @@ class _DenseIdMixin:
 
     def _slot_of(self, u: int) -> int:
         if self._inverse is None:
-            inverse = IntVector(self._cap_bits, self.node_count)
+            inverse = IntVector(self._cap_bits, self.capacity)
             ids = self._ids.get
             for j in self._used_slots():
                 inverse.set(ids(j), j)
@@ -438,10 +541,26 @@ class _DenseIdMixin:
         """Rehash every key into new in slot order; ids stay, so no remap."""
         place = new._place
         slot_key = self._slot_key
-        old_ids = self._ids.get
-        ids = new._ids.set
+        old = self._ids  # IntVector.get, inlined, and the zero-entry OR
+        old_words = old._words
+        old_width = old.width
+        id_mask = old._mask
+        words = new._ids._words
+        width = new._ids.width
         for j in self._used_slots():
-            ids(place(slot_key(j)), old_ids(j))
+            bit = j * old_width
+            w = bit >> 6
+            off = bit & 63
+            nid = old_words[w] >> off
+            if off + old_width > 64:
+                nid |= old_words[w + 1] << (64 - off)
+            bit = place(slot_key(j)) * width
+            w = bit >> 6
+            off = bit & 63
+            v = (nid & id_mask) << off
+            words[w] |= v & _WORD
+            if off + width > 64:
+                words[w + 1] |= v >> 64
 
     def memory_bytes(self) -> int:
         return super().memory_bytes() + self._ids.allocated_bytes

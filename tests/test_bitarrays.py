@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from dynpdt.bitarrays import IntVector
+from dynpdt.core import ContractViolation
 from dynpdt.trie_repr import _HashTrie
 
 
@@ -39,6 +40,21 @@ def test_intvector_straddle_isolation():
     vec.set(2, 0x55555555 & 0x7FFFFFFF)
     assert vec.get(1) == 0x7FFFFFFF  # neighbours untouched
     assert vec.get(3) == 0x2AAAAAAA
+
+
+@pytest.mark.parametrize("width", [16, 31])  # one within a word, one straddling
+@pytest.mark.parametrize("fill_ones", [False, True])
+def test_intvector_set_refuses_values_that_do_not_fit(width, fill_ones):
+    # a wider or negative value would overwrite the neighbouring entry
+    vec = IntVector(width, 8, fill_ones)
+    before = [vec.get(i) for i in range(8)]
+    for bad in (1 << width, (1 << (width + 1)) + 5, -1, -(1 << width)):
+        with pytest.raises(ContractViolation):
+            vec.set(3, bad)
+    assert [vec.get(i) for i in range(8)] == before
+    vec.set(3, (1 << width) - 1)
+    vec.set(4, 0)
+    assert vec.get(3) == (1 << width) - 1 and vec.get(4) == 0
 
 
 @pytest.mark.parametrize("width", [1, 4, 13, 64])

@@ -84,6 +84,18 @@ def test_build_verifies_corpus(corpus, capsys):
     assert rep["memory_bytes"] > 0
 
 
+@pytest.mark.parametrize("command", ["build", "stats"])
+def test_reports_growth_time(corpus, capsys, command):
+    rc, out = run(capsys, command, corpus, "--capacity", 16)
+    rep = json.loads(out)
+    assert rc == 0 and rep["growth_events"] >= 4
+    # the doublings are part of the build the report times
+    assert 0 < rep["growth_ms"] <= rep["build_ns_per_key"] * rep["n_keys"] / 1e6
+    rc, out = run(capsys, command, corpus, "--capacity", 1024)
+    rep = json.loads(out)
+    assert (rep["growth_events"], rep["growth_ms"]) == (0, 0)
+
+
 def test_build_defaults_are_config_defaults(corpus, capsys):
     rc, out = run(capsys, "build", corpus)
     assert rc == 0

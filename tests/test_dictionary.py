@@ -331,6 +331,34 @@ def test_slm_groups_are_canonical_after_growth(repr_):
 
 
 @pytest.mark.parametrize("repr_", REPRS)
+def test_growth_ns_sums_the_doublings(repr_, monkeypatch):
+    # each doubling adds its wall time, the label map's on_grow included;
+    # a refused one adds nothing. The clock only moves inside on_grow here
+    import dynpdt.trie_repr as tr
+    clock = [0]
+    monkeypatch.setattr(tr, "perf_counter_ns", lambda: clock[0])
+    d = make(repr_, capacity=16)
+    follow = d._backend.on_grow
+
+    def on_grow(remap, capacity):
+        clock[0] += 1000
+        follow(remap, capacity)
+
+    d._backend.on_grow = on_grow
+    assert d.growth_ns == 0
+    for i, w in enumerate(random_words(300, seed=4)):
+        d.insert(w, i)
+    assert d.growth_events >= 4
+    assert d.growth_ns == 1000 * d.growth_events
+    monkeypatch.setattr(tr, "MAX_CAPACITY", d.capacity)
+    before = (d.growth_events, d.growth_ns)
+    with pytest.raises(ResourceExhausted):
+        for i, w in enumerate(random_words(1000, seed=5)):
+            d.insert(w, i)
+    assert (d.growth_events, d.growth_ns) == before
+
+
+@pytest.mark.parametrize("repr_", REPRS)
 def test_refused_growth_leaves_insert_undone(repr_, monkeypatch):
     # 12 nodes fill 16 slots to 0.75; a key that branches 9 bytes into the
     # root label owes 2 step nodes plus its edge, so it needs 32 slots,

@@ -285,8 +285,9 @@ def grow_to(oracle, handles, rng, n):
 
 @pytest.mark.parametrize("repr_", ["pfkt", "cfkt"])
 def test_parent_index_follows_every_change(repr_):
-    # parent_edge reads an inverse of the slot-to-id array; it must not
-    # outlive an addchild, nor a doubling by reserve that adds no node
+    # parent_edge reads an inverse of the slot-to-id array; it must take
+    # each addchild's id and must not outlive a doubling, not even one by
+    # reserve that adds no node
     b = make_backend(cfg(repr_))
     oracle = OracleTrie(b)
     rng = random.Random(5)
@@ -300,6 +301,113 @@ def test_parent_index_follows_every_change(repr_):
     assert b.reserve(b.root_id, b.capacity - b.node_count) == b.root_id
     assert (b.node_count, b.growth_events) == (115, events + 1)
     oracle.check_all()
+
+
+@pytest.mark.parametrize("repr_", ["pfkt", "cfkt"])
+def test_parent_index_survives_inserts(repr_, monkeypatch):
+    # addchild writes the new id's slot into a built inverse, so climbs
+    # between inserts scan the table only after a doubling drops it
+    b = make_backend(cfg(repr_))
+    oracle = OracleTrie(b)
+    rng = random.Random(9)
+    handles = [oracle.root]
+    grow_to(oracle, handles, rng, 100)
+    scans = []
+    scan = b._used_slots
+    monkeypatch.setattr(b, "_used_slots", lambda: scans.append(1) or scan())
+    oracle.check_parent(handles[-1])
+    assert len(scans) == 1
+    events = b.growth_events
+    for n in range(101, 116):  # 115 nodes still fit 128 slots
+        grow_to(oracle, handles, rng, n)
+        oracle.check_parent(handles[-1])
+    assert b.growth_events == events
+    oracle.check_all()
+    assert len(scans) == 1
+    grow_to(oracle, handles, rng, 116)
+    assert b.growth_events == events + 1
+    assert b._inverse is None
+    del scans[:]
+    oracle.check_all()
+    assert len(scans) == 1
+
+
+def _check_words(b, oracle):
+    """Compare every word of b, read through IntVector.get and
+    DisplacementStore.get alone, with the oracle's edges; returns the
+    number of escaped displacements."""
+    marks = b._marks
+    used = [j for j in range(b.capacity) if marks.get(j) != marks._mask]
+    assert list(b._used_slots()) == used
+    vacant = sorted(set(range(b.capacity)) - set(used))
+    ids = getattr(b, "_ids", None)
+    got = []
+    for j in used:
+        if hasattr(b, "_table"):
+            k = b._table.get(j)
+        else:
+            i = (j - b._disp.get(j)) & b._cap_mask
+            k = b._tf.inverse((i << b._sym_bits) | b._quot.get(j))
+        got.append((k, j if ids is None else ids.get(j)))
+    want = [(b._root_key, b.root_id)]
+    want += [((oracle.bid[p] << b._sym_bits) | c, oracle.bid[h])
+             for h, (p, c) in oracle.parent.items()]
+    assert sorted(got) == sorted(want)
+    if hasattr(b, "_table"):
+        assert all(b._table.get(j) == b._table._mask for j in vacant)
+    else:
+        assert all(b._disp._base.get(j) == _VACANT for j in vacant)
+        assert all(b._quot.get(j) == 0 for j in vacant)
+    if ids is not None:
+        assert all(ids.get(j) == 0 for j in vacant)
+        # the inverse a climb built, extended in place by later ids
+        if b._inverse is not None:
+            assert all(b._inverse.get(nid) == j for j, (_, nid) in zip(used, got))
+            assert all(b._inverse.get(nid) == 0 for nid in range(b.node_count, b.capacity))
+    if not hasattr(b, "_disp"):
+        return 0
+    return b._disp.mid_count + b._disp.spill_count
+
+
+@pytest.mark.parametrize("lam", [64, 4])
+@pytest.mark.parametrize("repr_", REPRS)
+def test_in_place_words_agree_with_intvector(repr_, lam):
+    # placement, key decoding, id claims, the refills and the slot scan
+    # write and read the packed words in place. At lam 64 the quotients
+    # are 15 bits and the keys 19-28 bits, so entries straddle words.
+    # At 512 slots, 120 edges below the root whose homes lie close
+    # together push some displacements past the 4-bit array
+    b = make_backend(cfg(repr_, lam=lam))
+    oracle = OracleTrie(b)
+    rng = random.Random(lam + len(repr_))
+    handles = [oracle.root]
+    zs = b._sym_bits
+    step = cfg(repr_, lam=lam).step_code
+    escaped = []
+    while b.growth_events < 9:
+        parent = rng.choice(handles)
+        code = rng.randrange(step + 1)
+        if (parent, code) in oracle.children:
+            continue
+        events = b.growth_events
+        handles.append(oracle.addchild(parent, code))
+        if b.growth_events == events:
+            continue
+        escaped.append(_check_words(b, oracle))
+        if b.capacity == 512:
+            u, mask = b.root_id, b._cap_mask
+            home = [((u << zs | c) * b._tf._mult >> zs) & mask for c in range(step + 1)]
+            near = sorted((c for c in range(step + 1) if (oracle.root, c) not in oracle.children),
+                          key=lambda c: (home[c] - home[0]) & mask)
+            for c in near[:120]:
+                handles.append(oracle.addchild(oracle.root, c))
+            assert b.growth_events == events + 1
+            escaped.append(_check_words(b, oracle))
+        if hasattr(b, "_ids"):
+            oracle.check_parent(handles[-1])  # builds the inverse
+    assert b.capacity == 16 << 9
+    if repr_ in ("cbt", "cfkt"):
+        assert max(escaped) > 0, escaped
 
 
 @pytest.mark.parametrize("dense,twin", [("pfkt", "pbt"), ("cfkt", "cbt")])
