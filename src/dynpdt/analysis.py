@@ -47,21 +47,10 @@ class ShapeStats:
         return self.label_sum / self.nonstep_count
 
 
-def _labeled_edges_above(d: Dictionary, u: int) -> int:
-    """Non-step edges between the root and node u: each ends at a labeled node."""
-    backend = d._backend
-    root = backend.root_id
-    step = d._step_code
-    n = 0
-    while u != root:
-        u, c = backend.parent_edge(u)
-        if c != step:
-            n += 1
-    return n
-
-
 def shape_stats(d: Dictionary) -> ShapeStats:
     """Census every node by climbing its parent chain.
+
+    The climbs read one parent_keys() snapshot of the node table.
 
     Deletion keeps a keyword's node and only clears its value, so a
     deleted keyword is still counted here, and deleting leaves the
@@ -71,13 +60,16 @@ def shape_stats(d: Dictionary) -> ShapeStats:
     step_count = 0
     height_sum = 0
     label_sum = 0
+    keys = d._backend.parent_keys()
+    step = d._step_code
     for nid, payload in d._nlm.iter_items():
         node_count += 1
         if payload.value is None:
             step_count += 1
             continue
         label_sum += len(payload.label) + 1
-        height_sum += _labeled_edges_above(d, nid)
+        # each non-step edge ends at a labeled node
+        height_sum += sum(c != step for _, c in d._edges_above(keys, nid))
     if node_count == 0:
         raise EmptyCorpus("dictionary holds no keywords")
     if node_count != d.node_count:
@@ -93,13 +85,12 @@ def nonstep_path_nodes(d: Dictionary, keyword) -> int:
     the edge count is bounded by the terminated length and this node
     count by the terminated length plus one. A deleted keyword keeps its
     node and is still counted; only a keyword never inserted raises
-    KeyError.
+    KeyError. The walk to the keyword compares one label per labeled node,
+    so the count is its match() calls, as match_profile counts them.
     """
-    s = validate_keyword(keyword)
-    hit = d._locate(s)
-    if hit is None:
+    if d._locate(validate_keyword(keyword)) is None:
         raise KeyError(bytes(keyword))
-    return 1 + _labeled_edges_above(d, hit[0])
+    return match_profile(d, [keyword]).labels
 
 
 @dataclass(frozen=True)

@@ -177,30 +177,49 @@ class Dictionary:
     def items(self) -> Iterator[tuple[bytes, int]]:
         """All (keyword, value) pairs, in label-storage order.
 
-        Keywords are respelled by climbing to the root and replaying the
-        path downward. Do not mutate while iterating.
+        Keywords are respelled by climbing to the root through one
+        parent_keys() snapshot and replaying the path downward. Raises
+        RuntimeError, as a dict does, if an insert adds nodes while the
+        pairs are being iterated.
         """
-        nlm = self._nlm
-        for nid, payload in nlm.iter_items():
+        backend = self._backend
+        keys = backend.parent_keys()
+        nodes = backend.node_count
+        for nid, payload in self._nlm.iter_items():
             if payload.value is None or payload.value == NO_VALUE:
                 continue
-            yield self._spell(nid, payload.label), payload.value
+            yield self._spell(keys, nid, payload.label), payload.value
+            if backend.node_count != nodes:
+                raise RuntimeError("dictionary changed size during iteration")
 
-    def _spell(self, nid: int, label: bytes) -> bytes:
+    def _edges_above(self, keys, u: int) -> list[tuple[int, int]]:
+        """(node, incoming edge code) from u up to the root, bottom-up.
+
+        keys is a parent_keys() snapshot. Reaching the reserved root key
+        anywhere but at the root means the snapshot or the table is broken.
+        """
         backend = self._backend
+        root = backend.root_id
+        root_key = backend._root_key
+        zs = backend._sym_bits
+        code_mask = backend._sym_space - 1
+        chain = []
+        while u != root:
+            k = keys[u]
+            if k == root_key:
+                raise CorruptionError(f"node {u} has no parent edge")
+            chain.append((u, k & code_mask))
+            u = k >> zs
+        return chain
+
+    def _spell(self, keys, nid: int, label: bytes) -> bytes:
         nlm = self._nlm
         lam = self._lam
         step = self._step_code
-        root = backend.root_id
-        chain = []  # (node, incoming edge code), bottom-up
-        u = nid
-        while u != root:
-            p, c = backend.parent_edge(u)
-            chain.append((u, c))
-            u = p
+        chain = self._edges_above(keys, nid)
         parts = []
         pending = 0
-        cur_label = nlm.access(root).label
+        cur_label = nlm.access(self._backend.root_id).label
         for node, c in reversed(chain):
             if c == step:
                 pending += lam

@@ -10,7 +10,7 @@ interchangeable layouts implement the same contract:
   (the m-Bonsai layout); node ids are slot indices.
 * ``pfkt`` / ``cfkt`` wrap the two layouts above with a dense id space:
   ids are assigned in creation order and survive growth unchanged, held
-  in one slot-to-id array whose inverse parent_edge builds on demand.
+  in one slot-to-id array.
 
 One multiply by the golden-ratio constant homes every node table. All
 four home key k at the high bits of hv = BijectiveTransform.forward(k),
@@ -43,6 +43,9 @@ are never freed, so the quotient or id entry of a slot not yet placed is
 still zero and the value goes in with an OR. Only an escaped displacement
 goes through DisplacementStore.set; IntVector.get and set serve the cold
 paths.
+
+Parent links serve only enumeration: ``parent_keys`` reads every node's
+packed key, indexed by node id, in one pass over the used slots.
 """
 
 from __future__ import annotations
@@ -153,8 +156,9 @@ class _HashTrie:
     empty table and points ``_marks`` at the vector whose all-ones entries
     mark its vacant slots, ``_place(k)`` stores packed key k and returns its
     slot, ``_find_slot(u, c)`` returns the slot holding edge (u, c) or None
-    and underlies ``getchild``, and ``_slot_key(j)`` decodes the key stored
-    at slot j. growth_ns sums the wall time of the doublings done so far.
+    and underlies ``getchild``, ``_slot_key(j)`` decodes the key stored at
+    slot j, and ``_node_at(j)`` names the node at slot j. growth_ns sums
+    the wall time of the doublings done so far.
     """
 
     def __init__(self, config: Config, on_grow=None) -> None:
@@ -181,8 +185,8 @@ class _HashTrie:
     def _claim_child(self, slot: int) -> int:
         return slot
 
-    def _slot_of(self, u: int) -> int:
-        return u
+    def _node_at(self, j: int) -> int:
+        return j
 
     def _used_slots(self):
         """The occupied slots, in increasing order."""
@@ -200,9 +204,6 @@ class _HashTrie:
             if h & vacant != vacant:
                 yield j
             bit += width
-
-    def _is_live(self, u: int) -> bool:
-        return 0 <= u < self.capacity and self._marks.get(u) != self._marks._mask
 
     # contract surface ----------------------------------------------
     def addchild(self, u: int, c: int) -> int:
@@ -230,14 +231,20 @@ class _HashTrie:
         remap = self._grow(capacity)
         return u if remap is None else remap[u]
 
-    def parent_edge(self, u: int) -> tuple[int, int]:
-        """(parent id, incoming edge code) of the non-root node u."""
-        if u == self.root_id:
-            raise ContractViolation("the root has no parent edge")
-        if not self._is_live(u):
-            raise ContractViolation(f"id {u} is not a live node")
-        k = self._slot_key(self._slot_of(u))
-        return k >> self._sym_bits, k & (self._sym_space - 1)
+    def parent_keys(self) -> array:
+        """Every node's packed key (parent << symbol_bits) | code, by node id.
+
+        One pass over the used slots fills an array("Q") of capacity
+        entries. The root, and every id no node holds, reads the reserved
+        root key. The array is a snapshot: it goes stale on the next
+        addchild, and a doubling renumbers the slot-addressed ids.
+        """
+        keys = array("Q", [self._root_key]) * self.capacity
+        node_at = self._node_at
+        slot_key = self._slot_key
+        for j in self._used_slots():
+            keys[node_at(j)] = slot_key(j)
+        return keys
 
     # growth ----------------------------------------------------------
     def _grow(self, capacity: int):
@@ -473,21 +480,16 @@ class _DenseIdMixin:
     """Dense creation-order ids held in one slot-to-id array.
 
     The array answers getchild and keeps ids stable while slots move under
-    growth. parent_edge reads its inverse, an id-to-slot array of the same
-    size that the first climb after a doubling builds in one pass over the
-    used slots and each later addchild extends by the new id's entry; as a
-    derived index, like growth's remap array, memory_bytes leaves it out.
+    growth; parent_keys reads it slot by slot, so it has no inverse.
     """
 
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)
         self._ids = IntVector(self._cap_bits, capacity)
-        self._inverse = None
 
     def _claim_child(self, slot: int) -> int:
-        # the new id is the highest yet, so its entry in the ids, and in the
-        # inverse when there is one, is still zero: each write is an OR per
-        # word the entry spans
+        # the new id's entry was never written, so it is still zero: the
+        # write is an OR per word the entry spans
         nid = self.node_count - 1
         ids = self._ids
         width = ids.width
@@ -499,16 +501,6 @@ class _DenseIdMixin:
         words[w] |= v & _WORD
         if off + width > 64:
             words[w + 1] |= v >> 64
-        inverse = self._inverse
-        if inverse is not None:  # as wide as the ids
-            bit = nid * width
-            w = bit >> 6
-            off = bit & 63
-            v = slot << off
-            words = inverse._words
-            words[w] |= v & _WORD
-            if off + width > 64:
-                words[w + 1] |= v >> 64
         return nid
 
     def getchild(self, u: int, c: int) -> int | None:
@@ -525,17 +517,8 @@ class _DenseIdMixin:
             v |= ids._words[w + 1] << (64 - off)
         return v & ids._mask
 
-    def _slot_of(self, u: int) -> int:
-        if self._inverse is None:
-            inverse = IntVector(self._cap_bits, self.capacity)
-            ids = self._ids.get
-            for j in self._used_slots():
-                inverse.set(ids(j), j)
-            self._inverse = inverse
-        return self._inverse.get(u)
-
-    def _is_live(self, u: int) -> bool:
-        return 0 <= u < self.node_count
+    def _node_at(self, j: int) -> int:
+        return self._ids.get(j)
 
     def _refill(self, new) -> None:
         """Rehash every key into new in slot order; ids stay, so no remap."""

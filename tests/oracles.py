@@ -8,6 +8,16 @@ backend under test currently uses (which move when bonsai tables grow).
 
 from __future__ import annotations
 
+from array import array
+
+
+def parent_edges(backend) -> dict[int, tuple[int, int]]:
+    """(parent id, incoming edge code) of every non-root node, by node id."""
+    zs = backend._sym_bits
+    code_mask = (1 << zs) - 1
+    return {u: (k >> zs, k & code_mask)
+            for u, k in enumerate(backend.parent_keys()) if k != backend._root_key}
+
 
 class OracleDictionary:
     """Ground-truth keyword map with the facade's exact semantics."""
@@ -82,11 +92,17 @@ class OracleTrie:
 
     def check_parent(self, handle: int) -> None:
         parent, code = self.parent[handle]
-        assert self.backend.parent_edge(self.bid[handle]) == (self.bid[parent], code)
+        edge = parent_edges(self.backend)[self.bid[handle]]
+        assert edge == (self.bid[parent], code)
 
     def check_all(self) -> None:
-        assert self.backend.node_count == self.n_nodes
-        for handle in self.parent:
-            self.check_parent(handle)
+        """Compare the backend's whole parent_keys() array with the edges
+        held here: the root and every id no node holds read the root key."""
+        b = self.backend
+        assert b.node_count == self.n_nodes
         ids = set(self.bid.values())
         assert len(ids) == self.n_nodes
+        want = array("Q", [b._root_key]) * b.capacity
+        for handle, (parent, code) in self.parent.items():
+            want[self.bid[handle]] = (self.bid[parent] << b._sym_bits) | code
+        assert b.parent_keys() == want

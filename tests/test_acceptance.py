@@ -21,7 +21,7 @@ from dynpdt.analysis import (
 from dynpdt.cli import shuffle_keys
 from dynpdt.core import LABEL_MAPS, REPRS, validate_keyword
 from dynpdt.hashing import BijectiveTransform, vbyte_decode, vbyte_encode
-from oracles import OracleDictionary
+from oracles import OracleDictionary, parent_edges
 
 ALL_COMBOS = [(r, m) for r in REPRS for m in LABEL_MAPS]
 
@@ -37,10 +37,10 @@ def corpora() -> dict:
 
 def records(d):
     """(label, edge code or None-for-root, parent id, is step) per node."""
-    root = d._backend.root_id
+    edges = parent_edges(d._backend)
     out = []
     for nid, p in d._nlm.iter_items():
-        parent, edge = (None, None) if nid == root else d._backend.parent_edge(nid)
+        parent, edge = edges.get(nid, (None, None))
         out.append((nid, p.label, p.value, edge, parent))
     return out
 

@@ -5,11 +5,15 @@ keyword sets we enumerate every attainable height sum over all path
 decompositions of the byte trie and compare the extremes.
 """
 
+import gc
 import itertools
+import os
 import random
+import tracemalloc
 
 import pytest
 
+import dynpdt
 from conftest import TECH_WORDS, random_words
 from dynpdt import (
     Config,
@@ -251,17 +255,41 @@ def test_census_counts_deleted_keywords(small_words):
 
 
 def test_reads_leave_memory_unchanged(combo, small_words):
-    # a dense-id table's climbs build an id-to-slot index on the side;
-    # it is derived, so memory_bytes does not count it
+    # items() and shape_stats climb through a parent_keys() snapshot they
+    # drop on return, so no table keeps an index on the side. memory_bytes
+    # could not see such an index; tracemalloc does. It counts what the
+    # library's own files still hold, after a first pass over a second
+    # dictionary warms whatever the interpreter caches on first use. A full
+    # collection empties the free lists, which keep freed tuples allocated
     r, m = combo
-    d = Dictionary(Config(trie_repr=r, label_map=m, offset_limit=8,
-                          initial_capacity=64))
-    for i, w in enumerate(small_words):
-        d.insert(w, i)
+    library = [tracemalloc.Filter(True, os.path.join(os.path.dirname(dynpdt.__file__), "*"))]
+
+    def held():
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces(library)
+        return sum(trace.size for trace in snapshot.traces)
+
+    def build():
+        d = Dictionary(Config(trie_repr=r, label_map=m, offset_limit=8,
+                              initial_capacity=64))
+        for i, w in enumerate(small_words):
+            d.insert(w, i)
+        return d
+
+    warm, d = build(), build()
     before = d.memory_bytes()
-    assert len(list(d.items())) == len(small_words)
-    assert d.memory_bytes() == before
-    shape_stats(d)
+    tracemalloc.start()
+    try:
+        assert len(list(warm.items())) == len(small_words)
+        shape_stats(warm)
+        start = held()
+        assert len(list(d.items())) == len(small_words)
+        after_items = held()
+        assert shape_stats(d).node_count == d.node_count
+        after_stats = held()
+    finally:
+        tracemalloc.stop()
+    assert (after_items, after_stats) == (start, start)
     assert d.memory_bytes() == before
 
 

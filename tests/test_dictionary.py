@@ -7,10 +7,18 @@ import tracemalloc
 import pytest
 
 from conftest import TECH_WORDS, dna_kmers, random_words, synthetic_urls
-from dynpdt import Config, Dictionary, InvalidKeyword, NO_VALUE, ResourceExhausted
+from dynpdt import (
+    NO_VALUE,
+    Config,
+    CorruptionError,
+    Dictionary,
+    InvalidKeyword,
+    ResourceExhausted,
+    shape_stats,
+)
 from dynpdt.core import REPRS
 from dynpdt.nlm import LabelMap
-from oracles import OracleDictionary
+from oracles import OracleDictionary, parent_edges
 
 
 def make(repr_="cbt", nlm="slm", capacity=256, lam=64, **kw):
@@ -61,7 +69,7 @@ def test_worked_example_structure(combo):
         if nid == root:
             assert label == b"technology"
         else:
-            edges[label] = divmod(d._backend.parent_edge(nid)[1], lam)
+            edges[label] = divmod(parent_edges(d._backend)[nid][1], lam)
     assert edges == {
         b"cs": (ord("i"), 5),
         b"ue": (ord("q"), 0),
@@ -79,7 +87,7 @@ def test_step_chain_for_far_mismatch():
     assert d.node_count == 6
     steps = [nid for nid, p in d._nlm.iter_items() if p.value is None]
     assert len(steps) == 1
-    assert d._backend.parent_edge(steps[0])[1] == d.config.step_code
+    assert parent_edges(d._backend)[steps[0]][1] == d.config.step_code
     for i, w in enumerate(words):
         assert d.lookup(w) == i
     assert sorted(d.items()) == sorted((w, i) for i, w in enumerate(words))
@@ -97,7 +105,7 @@ def test_prefix_keyword_gets_terminator_edge(combo):
     assert sorted(d.items()) == [(b"a", 2), (b"az", 1), (b"z", 0)]
     # the node for "a" sits below the node for "az" via a terminator edge
     (nid,) = [nid for nid, label, _ in labeled_records(d) if label == b""]
-    assert d._backend.parent_edge(nid)[1] < d.config.offset_limit  # branch byte 0
+    assert parent_edges(d._backend)[nid][1] < d.config.offset_limit  # branch byte 0
 
 
 def test_nested_prefix_chain():
@@ -182,6 +190,47 @@ def test_growth_mid_build(combo, small_words):
         for i, w in enumerate(small_words):
             assert d.lookup(w) == i
         assert sorted(d.items()) == sorted((w, i) for i, w in enumerate(small_words))
+
+
+@pytest.mark.parametrize("grow", [False, True])
+@pytest.mark.parametrize("repr_", REPRS)
+def test_items_refuses_inserts_while_iterating(repr_, grow):
+    # as with a dict, an insert between two pairs ends the iteration with
+    # RuntimeError, whether or not it doubles the table under it
+    d = make(repr_, capacity=64)
+    for i, w in enumerate(TECH_WORDS):
+        d.insert(w, i)
+    pairs = d.items()
+    next(pairs)
+    events = d.growth_events
+    i = 0
+    while True:
+        assert d.insert(b"new%d" % i, i)
+        i += 1
+        if not grow or d.growth_events > events:
+            break
+    assert d.growth_events == events + grow
+    with pytest.raises(RuntimeError, match="changed size during iteration"):
+        next(pairs)
+    assert sorted(d.items()) == sorted(
+        [(w, i) for i, w in enumerate(TECH_WORDS)] + [(b"new%d" % j, j) for j in range(i)])
+
+
+@pytest.mark.parametrize("repr_", REPRS)
+def test_climb_to_reserved_key_is_corruption(repr_, monkeypatch):
+    # the root key marks the root and the ids no node holds; a climb that
+    # meets it below the root is reading a broken table
+    d = make(repr_)
+    for i, w in enumerate(TECH_WORDS):
+        d.insert(w, i)
+    b = d._backend
+    keys = b.parent_keys()
+    keys[next(iter(parent_edges(b)))] = b._root_key
+    monkeypatch.setattr(b, "parent_keys", lambda: keys)
+    with pytest.raises(CorruptionError, match="no parent edge"):
+        list(d.items())
+    with pytest.raises(CorruptionError, match="no parent edge"):
+        shape_stats(d)
 
 
 def test_byte_identical_determinism(combo, small_words):

@@ -13,7 +13,7 @@ from dynpdt.trie_repr import (
     SpillTable,
     make_backend,
 )
-from oracles import OracleTrie
+from oracles import OracleTrie, parent_edges
 
 
 def cfg(repr_, capacity=16, lam=4, **kw):
@@ -180,31 +180,32 @@ def test_child_lifecycle(repr_):
     assert b.getchild(u, 3) == w
     assert b.getchild(u, 200) is None
     assert b.node_count == 4
-    assert b.parent_edge(w) == (u, 3)
-    assert b.parent_edge(u) == (root, 3)
-    assert b.parent_edge(v) == (root, 200)
+    assert parent_edges(b) == {w: (u, 3), u: (root, 3), v: (root, 200)}
 
 
 @pytest.mark.parametrize("repr_", REPRS)
 def test_root_has_no_parent_edge(repr_):
     b = make_backend(cfg(repr_))
-    with pytest.raises(ContractViolation):
-        b.parent_edge(b.root_id)
+    assert b.parent_keys()[b.root_id] == b._root_key
+    b.addchild(b.root_id, 1)
+    assert b.parent_keys()[b.root_id] == b._root_key
 
 
 @pytest.mark.parametrize("repr_", REPRS)
 def test_dead_id_rejected(repr_):
+    # an id no node holds reads the reserved root key, which no edge
+    # carries, so a climb from it stops there and fails
     b = make_backend(cfg(repr_))
     u = b.addchild(b.root_id, 1)
-    dead = [b.capacity + 5, -1]
     if repr_ in ("pbt", "cbt"):
-        # a vacant slot inside the table is just as dead
-        dead.append(next(j for j in range(b.capacity) if j not in (b.root_id, u)))
+        # every vacant slot is a dead id
+        dead = [j for j in range(b.capacity) if j not in (b.root_id, u)]
     else:
-        dead.append(u + 1)  # next dense id, not assigned yet
-    for d in dead:
-        with pytest.raises(ContractViolation):
-            b.parent_edge(d)
+        dead = list(range(u + 1, b.capacity))  # dense ids not assigned yet
+    keys = b.parent_keys()
+    assert len(keys) == b.capacity
+    assert all(keys[d] == b._root_key for d in dead)
+    assert keys[u] == (b.root_id << b._sym_bits) | 1
 
 
 # ---------------------------------------------------------------- growth
@@ -227,7 +228,7 @@ def test_growth_preserves_structure(repr_):
     oracle.check_all()
     assert b.growth_events >= 4
     assert len(remaps) == b.growth_events
-    # the scan both refills and the dense-id inverse read
+    # the scan both refills and parent_keys read
     marks = b._marks
     used = [j for j in range(b.capacity) if marks.get(j) != marks._mask]
     assert list(b._used_slots()) == used
@@ -285,9 +286,9 @@ def grow_to(oracle, handles, rng, n):
 
 @pytest.mark.parametrize("repr_", ["pfkt", "cfkt"])
 def test_parent_index_follows_every_change(repr_):
-    # parent_edge reads an inverse of the slot-to-id array; it must take
-    # each addchild's id and must not outlive a doubling, not even one by
-    # reserve that adds no node
+    # parent_keys reads the slot-to-id array afresh each time, so it sees
+    # each addchild's id and every doubling, even one by reserve that adds
+    # no node
     b = make_backend(cfg(repr_))
     oracle = OracleTrie(b)
     rng = random.Random(5)
@@ -301,35 +302,6 @@ def test_parent_index_follows_every_change(repr_):
     assert b.reserve(b.root_id, b.capacity - b.node_count) == b.root_id
     assert (b.node_count, b.growth_events) == (115, events + 1)
     oracle.check_all()
-
-
-@pytest.mark.parametrize("repr_", ["pfkt", "cfkt"])
-def test_parent_index_survives_inserts(repr_, monkeypatch):
-    # addchild writes the new id's slot into a built inverse, so climbs
-    # between inserts scan the table only after a doubling drops it
-    b = make_backend(cfg(repr_))
-    oracle = OracleTrie(b)
-    rng = random.Random(9)
-    handles = [oracle.root]
-    grow_to(oracle, handles, rng, 100)
-    scans = []
-    scan = b._used_slots
-    monkeypatch.setattr(b, "_used_slots", lambda: scans.append(1) or scan())
-    oracle.check_parent(handles[-1])
-    assert len(scans) == 1
-    events = b.growth_events
-    for n in range(101, 116):  # 115 nodes still fit 128 slots
-        grow_to(oracle, handles, rng, n)
-        oracle.check_parent(handles[-1])
-    assert b.growth_events == events
-    oracle.check_all()
-    assert len(scans) == 1
-    grow_to(oracle, handles, rng, 116)
-    assert b.growth_events == events + 1
-    assert b._inverse is None
-    del scans[:]
-    oracle.check_all()
-    assert len(scans) == 1
 
 
 def _check_words(b, oracle):
@@ -360,10 +332,6 @@ def _check_words(b, oracle):
         assert all(b._quot.get(j) == 0 for j in vacant)
     if ids is not None:
         assert all(ids.get(j) == 0 for j in vacant)
-        # the inverse a climb built, extended in place by later ids
-        if b._inverse is not None:
-            assert all(b._inverse.get(nid) == j for j, (_, nid) in zip(used, got))
-            assert all(b._inverse.get(nid) == 0 for nid in range(b.node_count, b.capacity))
     if not hasattr(b, "_disp"):
         return 0
     return b._disp.mid_count + b._disp.spill_count
@@ -403,8 +371,6 @@ def test_in_place_words_agree_with_intvector(repr_, lam):
                 handles.append(oracle.addchild(oracle.root, c))
             assert b.growth_events == events + 1
             escaped.append(_check_words(b, oracle))
-        if hasattr(b, "_ids"):
-            oracle.check_parent(handles[-1])  # builds the inverse
     assert b.capacity == 16 << 9
     if repr_ in ("cbt", "cfkt"):
         assert max(escaped) > 0, escaped
@@ -412,9 +378,9 @@ def test_in_place_words_agree_with_intvector(repr_, lam):
 
 @pytest.mark.parametrize("dense,twin", [("pfkt", "pbt"), ("cfkt", "cbt")])
 def test_dense_table_is_twin_plus_one_id_array(dense, twin):
-    # the same edges in the same order, then a climb over every node: a
-    # dense-id table stores its twin's table plus the slot-to-id array,
-    # and the inverse the climb built is not counted
+    # the same edges in the same order: a dense-id table stores its twin's
+    # table plus the slot-to-id array, and reading every parent edge
+    # leaves nothing more behind
     backends = {}
     for r in (dense, twin):
         oracle = OracleTrie(make_backend(cfg(r)))
@@ -461,9 +427,10 @@ def test_growth_capacity_ceiling(repr_, monkeypatch):
             with pytest.raises(ResourceExhausted):
                 b.addchild(b.root_id, fanout)
             assert (b.capacity, b.node_count, b.growth_events) == before
+        edges = parent_edges(b)
         for code, nid in children.items():
             assert b.getchild(b.root_id, code) == nid
-            assert b.parent_edge(nid) == (b.root_id, code)
+            assert edges[nid] == (b.root_id, code)
 
 
 # ---------------------------------------------------------------- differential
