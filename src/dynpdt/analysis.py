@@ -48,9 +48,7 @@ class ShapeStats:
 
 
 def shape_stats(d: Dictionary) -> ShapeStats:
-    """Census every node by climbing its parent chain.
-
-    The climbs read one parent_keys() snapshot of the node table.
+    """Census every node by climbing its parent chain in parent_keys().
 
     Deletion keeps a keyword's node and only clears its value, so a
     deleted keyword is still counted here, and deleting leaves the
@@ -82,15 +80,16 @@ def nonstep_path_nodes(d: Dictionary, keyword) -> int:
 
     Every labeled edge consumes at least one byte of the terminated
     keyword (the terminator itself at most once, as the last edge), so
-    the edge count is bounded by the terminated length and this node
-    count by the terminated length plus one. A deleted keyword keeps its
-    node and is still counted; only a keyword never inserted raises
-    KeyError. The walk to the keyword compares one label per labeled node,
-    so the count is its match() calls, as match_profile counts them.
+    this count is at most the terminated length plus one. A deleted
+    keyword keeps its node and is still counted; only a keyword never
+    inserted raises KeyError. The count is the match() calls of one walk
+    to the keyword, one per labeled node, as match_profile counts them.
     """
-    if d._locate(validate_keyword(keyword)) is None:
-        raise KeyError(bytes(keyword))
-    return match_profile(d, [keyword]).labels
+    def walk(s):
+        if d._walk(s)[1] is None:
+            raise KeyError(bytes(keyword))
+
+    return _count_matches(d, [validate_keyword(keyword)], walk).labels
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,17 @@ class MatchProfile:
 def match_profile(d: Dictionary, keywords) -> MatchProfile:
     """Look up every keyword and count the label comparisons on the way.
 
-    The label map's match() is wrapped on d's instance for the duration of
-    the call, and the previous attribute is restored afterwards, even when
-    a lookup raises. For keywords that are all present, labels_per_lookup
-    is the mean of nonstep_path_nodes over them.
+    For keywords that are all present, labels_per_lookup is the mean of
+    nonstep_path_nodes over them.
+    """
+    return _count_matches(d, keywords, d.lookup)
+
+
+def _count_matches(d: Dictionary, keywords, probe) -> MatchProfile:
+    """Run probe on every keyword, counting d's label-map match() calls.
+
+    match() is wrapped on the label map's instance, and the previous
+    attribute is restored afterwards, even when probe raises.
     """
     nlm = d._nlm
     saved = vars(nlm).get("match")
@@ -138,7 +144,7 @@ def match_profile(d: Dictionary, keywords) -> MatchProfile:
     nlm.match = match
     try:
         for keyword in keywords:
-            d.lookup(keyword)
+            probe(keyword)
             lookups += 1
     finally:
         if saved is None:

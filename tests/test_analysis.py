@@ -211,7 +211,17 @@ def test_match_profile_counts_path_labels(combo, small_words):
         d.insert(w, i)
     prof = match_profile(d, small_words)
     assert prof.lookups == len(small_words)
-    assert prof.labels == sum(nonstep_path_nodes(d, w) for w in small_words)
+    # the labeled nodes on each path, read off the parent chain instead
+    keys = d._backend.parent_keys()
+    paths = []
+    for w in small_words:
+        u = d._locate(w + b"\0")[0]
+        edges = d._edges_above(keys, u)
+        paths.append(1 + sum(c != d._step_code for _, c in edges))
+        assert nonstep_path_nodes(d, w) == paths[-1]
+    assert prof.labels == sum(paths)
+    st = shape_stats(d)  # every labeled node holds one of small_words
+    assert prof.labels == st.nonstep_count + st.height_sum
     assert prof.mismatches == prof.labels - prof.lookups
     assert 0 < prof.first_byte <= prof.mismatches
     assert "match" not in vars(d._nlm)  # the class's method serves again
