@@ -143,15 +143,6 @@ class Dictionary:
         self._live += 1
         return True
 
-    def _locate(self, s: bytes):
-        """Walk a terminated keyword to its node; (node, value) or None.
-
-        Purely structural: value may be the NO_VALUE marker left behind by
-        delete().
-        """
-        u, held = self._walk(s)[:2]
-        return None if held is None else (u, held)
-
     def lookup(self, keyword) -> Optional[int]:
         """Value stored for keyword, or None. Malformed keywords are absent."""
         try:

@@ -6,8 +6,8 @@ interchangeable layouts implement the same contract:
 
 * ``pbt``  stores packed keys verbatim; node ids are slot indices.
 * ``cbt``  stores only the key's quotient under an invertible transform,
-  plus per-slot probe displacements kept in a three-tier side structure
-  (the m-Bonsai layout); node ids are slot indices.
+  plus a 4-bit probe displacement per slot whose large values escape to
+  a side map (the m-Bonsai layout); node ids are slot indices.
 * ``pfkt`` / ``cfkt`` wrap the two layouts above with a dense id space:
   ids are assigned in creation order and survive growth unchanged, held
   in one slot-to-id array.
@@ -30,9 +30,8 @@ rehash every key and pass None.
 Every node table marks a vacant slot with an all-ones entry: in the key
 array of the plain layouts, in the 4-bit displacement array of the compact
 ones. There nibble 15 is vacant, 0-13 are the displacement itself and 14
-escapes to one of two small maps from slot id to displacement, each a pair
-of arrays kept in slot order: a mid map of 7-bit values for displacements
-14-141 and a spill map of full-width values past that.
+escapes: the displacement is then held in one small map from slot id to
+displacement, SpillTable, searched by bisection.
 
 The per-node hooks (placement, key decoding, id claims, the slot scan and
 the refills) read and write the packed IntVector words in place, with no
@@ -41,8 +40,7 @@ the entry spans. Two facts make that so. A vacant key or nibble entry is
 all ones, so the stored value goes in with an XOR against all ones. Slots
 are never freed, so the quotient or id entry of a slot not yet placed is
 still zero and the value goes in with an OR. Only an escaped displacement
-goes through DisplacementStore.set; IntVector.get and set serve the cold
-paths.
+goes through the map; IntVector.get and set serve the cold paths.
 
 Parent links serve only enumeration: ``parent_keys`` reads every node's
 packed key, indexed by node id, in one pass over the used slots.
@@ -67,86 +65,64 @@ from .hashing import BijectiveTransform
 
 _VACANT = (1 << 4) - 1                 # the nibble of an empty slot
 _SMALL_ESCAPE = _VACANT - 1            # displacement >= 14 leaves the 4-bit array
-_MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # displacement >= 142 goes to the spill table
+_MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # m-Bonsai's mid/spill tier boundary
 _WORD = (1 << 64) - 1
 
 
 class SpillTable:
     """Map from slot ids to the rare escaped displacements.
 
-    Two parallel arrays kept in slot order, the ids and their values, so a
-    lookup is one binary search and an insert shifts the tail of both.
+    Two parallel sequences kept in slot order, the ids and one byte per
+    value, so a lookup is one binary search and an insert shifts the tail
+    of both. A value of 255 or more stores the byte 255 and goes whole into
+    a third array, at the rank of that byte among the 255s: such values
+    come only from long clusters near full load, too few to widen every
+    value for.
     """
 
-    __slots__ = ("_keys", "_vals")
+    __slots__ = ("_keys", "_vals", "_wide")
 
-    def __init__(self, key_bits: int, val_bits: int) -> None:
+    def __init__(self, key_bits: int) -> None:
         code = "I" if key_bits <= 32 else "Q"
         self._keys = array(code)
-        self._vals = array("B" if val_bits <= 8 else code)
+        self._vals = bytearray()
+        self._wide = array(code)
 
     def insert(self, key: int, value: int) -> None:
         keys = self._keys
         i = bisect_left(keys, key)
         if i < len(keys) and keys[i] == key:
             raise ContractViolation("key already present")
+        if value >= 255:
+            self._wide.insert(self._vals.count(255, 0, i), value)
+            value = 255
         keys.insert(i, key)
         self._vals.insert(i, value)
 
-    def get(self, key: int) -> int | None:
+    def get(self, key: int) -> int:
         keys = self._keys
         i = bisect_left(keys, key)
         if i < len(keys) and keys[i] == key:
-            return self._vals[i]
-        return None
+            v = self._vals[i]
+            return v if v < 255 else self._wide[self._vals.count(255, 0, i)]
+        raise CorruptionError(f"slot {key} escaped with no overflow entry")
 
     def __len__(self) -> int:
         return len(self._keys)
 
-    def memory_bytes(self) -> int:
-        return sys.getsizeof(self._keys) + sys.getsizeof(self._vals)
-
-
-class DisplacementStore:
-    """Per-slot probe displacements in three tiers by magnitude."""
-
-    __slots__ = ("_base", "_mid", "_spill")
-
-    def __init__(self, capacity: int, key_bits: int) -> None:
-        self._base = IntVector(4, capacity, fill_ones=True)
-        self._mid = SpillTable(key_bits, 7)
-        self._spill = SpillTable(key_bits, key_bits)
-
-    def get(self, j: int) -> int:
-        v = self._base.get(j)
-        if v < _SMALL_ESCAPE:
-            return v
-        w = self._mid.get(j)
-        if w is not None:
-            return _SMALL_ESCAPE + w
-        w = self._spill.get(j)
-        if w is None:
-            raise CorruptionError(f"slot {j} escaped with no overflow entry")
-        return w
-
-    def set(self, j: int, d: int) -> None:
-        self._base.set(j, min(d, _SMALL_ESCAPE))
-        if d >= _MID_LIMIT:
-            self._spill.insert(j, d)
-        elif d >= _SMALL_ESCAPE:
-            self._mid.insert(j, d - _SMALL_ESCAPE)
-
+    # the sizes m-Bonsai's mid and spill tiers would have; the benchmark
+    # trace still reports them
     @property
     def mid_count(self) -> int:
-        return len(self._mid)
+        return sum(1 for v in self._vals if v < _MID_LIMIT)
 
     @property
     def spill_count(self) -> int:
-        return len(self._spill)
+        return sum(1 for v in self._vals if v >= _MID_LIMIT)
 
     def memory_bytes(self) -> int:
-        return (self._base.allocated_bytes + self._mid.memory_bytes() +
-                self._spill.memory_bytes())
+        return (sys.getsizeof(self._keys) + sys.getsizeof(self._vals) +
+                sys.getsizeof(self._wide))
 
 
 class _HashTrie:
@@ -380,18 +356,18 @@ class PlainBonsaiTrie(_HashTrie):
 
 
 class CompactBonsaiTrie(_HashTrie):
-    """Quotient-only key storage with a tiered displacement side structure."""
+    """Quotient-only key storage: 4-bit displacements, escapes in one map."""
 
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)
         self._quot = IntVector(self._sym_bits, capacity)
-        self._disp = DisplacementStore(capacity, self._cap_bits)
-        self._marks = self._disp._base
+        self._marks = IntVector(4, capacity, fill_ones=True)
+        self._disp = SpillTable(self._cap_bits)
 
     def _place(self, k: int) -> int:
         # forward() and the nibble reads are inlined; the quotient goes into
-        # its zero entry with an OR, a displacement below the escape value
-        # into its all-ones nibble with an XOR
+        # its zero entry with an OR, the displacement, or the escape value
+        # for one the map holds, into its all-ones nibble with an XOR
         hv = k * self._tf._mult
         zs = self._sym_bits
         mask = self._cap_mask
@@ -411,16 +387,16 @@ class CompactBonsaiTrie(_HashTrie):
         if off + width > 64:
             qwords[w + 1] |= q >> 64
         d = (j - i) & mask
-        if d < _SMALL_ESCAPE:
-            nibbles[j >> 4] ^= (_VACANT ^ d) << ((j & 15) << 2)
-        else:
-            self._disp.set(j, d)
+        if d >= _SMALL_ESCAPE:
+            self._disp.insert(j, d)
+            d = _SMALL_ESCAPE
+        nibbles[j >> 4] ^= (_VACANT ^ d) << ((j & 15) << 2)
         return j
 
     def _find_slot(self, u: int, c: int) -> int | None:
         # one frame: BijectiveTransform.forward and the quotient and 4-bit
-        # displacement reads are inlined; only an escaped displacement goes
-        # through DisplacementStore.get
+        # displacement reads are inlined; only an escaped displacement is
+        # read from the map
         zs = self._sym_bits
         quot = self._quot
         qmask = quot._mask
@@ -431,13 +407,13 @@ class CompactBonsaiTrie(_HashTrie):
         qwords = quot._words
         width = quot.width
         disp = self._disp
-        nibbles = disp._base._words
+        nibbles = self._marks._words
         vacant = _VACANT
         esc = _SMALL_ESCAPE
         d = 0
         while (nib := (nibbles[j >> 4] >> ((j & 15) << 2)) & 15) != vacant:
             # below the escape value the nibble is the displacement itself;
-            # at it, the displacement is some d >= 14 held in mid or spill
+            # at it, the displacement is some d >= 14 held in the map
             if nib == d or nib == esc <= d:
                 bit = j * width
                 w = bit >> 6
@@ -455,7 +431,7 @@ class CompactBonsaiTrie(_HashTrie):
 
     def _slot_key(self, j: int) -> int:
         # the nibble and quotient reads and BijectiveTransform.inverse are
-        # inlined; only an escaped displacement goes through DisplacementStore
+        # inlined; only an escaped displacement is read from the map
         d = (self._marks._words[j >> 4] >> ((j & 15) << 2)) & 15
         if d >= _SMALL_ESCAPE:
             d = self._disp.get(j)
@@ -473,7 +449,8 @@ class CompactBonsaiTrie(_HashTrie):
         return ((i << self._sym_bits) | (q & quot._mask)) * tf._mult_inv & tf._mask
 
     def memory_bytes(self) -> int:
-        return self._quot.allocated_bytes + self._disp.memory_bytes()
+        return (self._quot.allocated_bytes + self._marks.allocated_bytes +
+                self._disp.memory_bytes())
 
 
 class _DenseIdMixin:

@@ -148,8 +148,10 @@ def growth_run():
             if 10 * d.node_count > 9 * d.capacity:
                 load_violations += 1
             if i == 999 and repr_ == "cfkt":
-                early_ids = {k2: d._locate(validate_keyword(k2))[0]
-                             for k2 in keys[:1000]}
+                for k2 in keys[:1000]:
+                    u, held = d._walk(validate_keyword(k2))[:2]
+                    assert held is not None
+                    early_ids[k2] = u
         misses = sum(1 for i, k in enumerate(keys) if d.lookup(k) != i)
         out[repr_] = {
             "dict": d,
@@ -180,7 +182,9 @@ def test_criterion_03_growth_preservation(growth_run):
     early = growth_run["cfkt"]["early_ids"]
     assert len(early) == 1000
     for k, nid in early.items():
-        assert d._locate(validate_keyword(k))[0] == nid
+        u, held = d._walk(validate_keyword(k))[:2]
+        assert held is not None
+        assert u == nid
 
 
 def test_criterion_04_load_factor(growth_run):

@@ -215,7 +215,8 @@ def test_match_profile_counts_path_labels(combo, small_words):
     keys = d._backend.parent_keys()
     paths = []
     for w in small_words:
-        u = d._locate(w + b"\0")[0]
+        u, held = d._walk(w + b"\0")[:2]
+        assert held is not None
         edges = d._edges_above(keys, u)
         paths.append(1 + sum(c != d._step_code for _, c in edges))
         assert nonstep_path_nodes(d, w) == paths[-1]

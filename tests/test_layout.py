@@ -117,10 +117,9 @@ def storage_digest(d) -> str:
         if hasattr(b, name):
             fields.append((name, getattr(b, name)._words.tolist()))
     if hasattr(b, "_disp"):
-        disp = b._disp
-        fields.append(disp._base._words.tolist())
-        fields.append([(j, disp.get(j)) for j in b._used_slots()
-                       if disp._base.get(j) == _SMALL_ESCAPE])
+        fields.append(b._marks._words.tolist())
+        fields.append([(j, b._disp.get(j)) for j in b._used_slots()
+                       if b._marks.get(j) == _SMALL_ESCAPE])
     fields.append(d._nlm._groups)
     fields.append(sorted(d.items()))
     return _digest(fields)

@@ -4,12 +4,10 @@ import pytest
 
 from conftest import dna_kmers, random_words, synthetic_urls
 from dynpdt import Dictionary
-from dynpdt.core import REPRS, Config, ContractViolation, ResourceExhausted
+from dynpdt.core import REPRS, Config, ContractViolation, CorruptionError, ResourceExhausted
 from dynpdt.trie_repr import (
-    _MID_LIMIT,
     _SMALL_ESCAPE,
     _VACANT,
-    DisplacementStore,
     SpillTable,
     make_backend,
 )
@@ -20,108 +18,158 @@ def cfg(repr_, capacity=16, lam=4, **kw):
     return Config(trie_repr=repr_, offset_limit=lam, initial_capacity=capacity, **kw)
 
 
+def displacement(b, j):
+    """Slot j's displacement read as stored: the nibble, or the map's entry
+    when the nibble is the escape value."""
+    nib = b._marks.get(j)
+    return nib if nib < _SMALL_ESCAPE else b._disp.get(j)
+
+
 # ---------------------------------------------------------------- tables
 
 
 def test_spill_table_differential():
-    # the mid tier's shape: 7-bit values
+    # values below 255 take one byte each and nothing more
     rng = random.Random(1)
-    st = SpillTable(key_bits=10, val_bits=7)
+    st = SpillTable(key_bits=10)
     model = {}
     keys = list(range(1 << 10))
     rng.shuffle(keys)
     for key in keys[:900]:
-        value = rng.randrange(128)
+        value = rng.randrange(255)
         st.insert(key, value)
         model[key] = value
         if len(model) % 97 == 0:
             probe = rng.randrange(1 << 10)
-            assert st.get(probe) == model.get(probe)
-    assert len(st) == 900
+            if probe in model:
+                assert st.get(probe) == model[probe]
+            else:
+                with pytest.raises(CorruptionError):
+                    st.get(probe)
+    assert len(st) == len(st._vals) == 900
+    assert len(st._wide) == 0
     for key in keys[:900]:
         assert st.get(key) == model[key]
     for key in keys[900:]:
-        assert st.get(key) is None
+        with pytest.raises(CorruptionError):
+            st.get(key)
 
 
 def test_spill_table_roundtrip_and_duplicate():
-    st = SpillTable(key_bits=16, val_bits=16)
-    for key in (0, 1, 9999, 65535, 12345):
+    st = SpillTable(key_bits=16)
+    for key in (0, 1, 9999, 65535, 12345, 254, 255):
         st.insert(key, key % 1000)
-    for key in (0, 1, 9999, 65535, 12345):
+    for key in (0, 1, 9999, 65535, 12345, 254, 255):
         assert st.get(key) == key % 1000
-    assert st.get(7) is None
+    # values of 255 and up are kept whole, in slot order
+    assert st._wide.tolist() == [255, 999, 345, 535]
+    # every caller reads the map only for a slot whose nibble escaped
+    with pytest.raises(CorruptionError):
+        st.get(7)
     with pytest.raises(ContractViolation):
         st.insert(1, 5)
 
 
+def _spill_state(st):
+    return (st._keys.tolist(), bytes(st._vals), st._wide.tolist(), st.memory_bytes())
+
+
 def test_spill_table_refused_duplicate_changes_nothing():
-    st = SpillTable(key_bits=17, val_bits=7)
+    st = SpillTable(key_bits=17)
     for key in range(0, 570, 10):
-        st.insert(key, key % 128)
-    before = (len(st), st.memory_bytes())
-    with pytest.raises(ContractViolation):
-        st.insert(560, 1)
-    assert (len(st), st.memory_bytes()) == before
-    assert st.get(560) == 560 % 128
+        st.insert(key, key % 255)
+    for value in (1, 256):  # a refused wide value must not be stored
+        before = _spill_state(st)
+        with pytest.raises(ContractViolation):
+            st.insert(560, value)
+        assert _spill_state(st) == before
+    st.insert(575, 256)
+    st.insert(5, 300)
+    assert st._wide.tolist() == [300, 256]
+    assert all(st.get(key) == key % 255 for key in range(0, 570, 10))
+    for key, value in ((575, 1), (5, 1000)):  # and refusals after wide values
+        before = _spill_state(st)
+        with pytest.raises(ContractViolation):
+            st.insert(key, value)
+        assert _spill_state(st) == before
+    assert (st.get(5), st.get(575)) == (300, 256)
 
 
 @pytest.mark.parametrize("key_bits", [32, 40, 48])
-def test_displacement_store_spills_full_width(key_bits):
+def test_spill_table_holds_full_width_values(key_bits):
     # a compact table of 2**32 slots or more keeps its widest displacements
-    ds = DisplacementStore(capacity=16, key_bits=key_bits)
-    ds.set(5, 2**key_bits - 1)
-    assert ds.get(5) == 2**key_bits - 1
-    assert ds.spill_count == 1
+    st = SpillTable(key_bits)
+    st.insert(5, 2**key_bits - 1)
+    st.insert(2**key_bits - 1, 14)
+    assert st.get(5) == 2**key_bits - 1
+    assert st.get(2**key_bits - 1) == 14
+    assert (st.mid_count, st.spill_count) == (1, 1)
 
 
-def test_displacement_store_tiers():
-    ds = DisplacementStore(capacity=1 << 13, key_bits=13)
-    small = [0, 5, _SMALL_ESCAPE - 1]
-    mid = [_SMALL_ESCAPE, 100, _MID_LIMIT - 1]
-    spill = [_MID_LIMIT, 5000]
-    cases = dict(enumerate(small + mid + spill))
-    for j, d in cases.items():
-        ds.set(j, d)
-    for j, d in cases.items():
-        assert ds.get(j) == d
-        # an escaped slot's nibble is the escape value, never the vacancy mark
-        assert ds._base.get(j) == (d if d in small else _SMALL_ESCAPE)
-    assert all(ds._base.get(j) == _VACANT for j in range(len(cases), 1 << 13))
-    assert ds.mid_count == len(mid)
-    assert ds.spill_count == len(spill)
+def shared_home_edges(b, home, n):
+    """n edges (parent, code), none of them the root's, homed at slot home."""
+    sym_bits = b._sym_bits
+    edges = []
+    for quot in range(1, n + 2):
+        k = b._tf.inverse((home << sym_bits) | quot)
+        edges.append((k >> sym_bits, k & ((1 << sym_bits) - 1)))
+    return [e for e in edges if e != (0, b._root_key)][:n]
+
+
+@pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
+def test_small_displacements_stay_in_the_nibble(repr_):
+    # a cluster of 30 keys at one home: displacements 0-13 are the nibble
+    # itself, larger ones read the escape value and have a map entry, and
+    # every slot no key took stays vacant
+    b = make_backend(cfg(repr_, capacity=1 << 13))
+    home = 700
+    edges = shared_home_edges(b, home, 30)
+    for e in edges:
+        b.addchild(*e)
+    used = set(b._used_slots())
+    assert len(used) == b.node_count == 31
+    cluster = [b._find_slot(*e) for e in edges]
+    small = 0
+    for j in cluster:
+        d = (j - home) & b._cap_mask
+        if d < _SMALL_ESCAPE:
+            small += 1
+            assert b._marks.get(j) == d
+            assert j not in b._disp._keys
+        else:
+            assert b._marks.get(j) == _SMALL_ESCAPE
+            assert b._disp.get(j) == d
+    assert small == _SMALL_ESCAPE  # one key at each of displacements 0-13
+    assert len(b._disp) == 30 - small
+    assert all(b._marks.get(j) == _VACANT for j in range(b.capacity) if j not in used)
 
 
 @pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
 def test_probe_through_displacement_tiers(repr_):
-    # ~200 keys sharing one home slot push displacements through all three
-    # tiers, so getchild must follow escaped nibbles into mid and spill
+    # 300 keys sharing one home slot displace the last ones past 255, so the
+    # map keeps those whole beside its value bytes, and getchild must follow
+    # escaped nibbles into the map for every size of displacement
     b = make_backend(cfg(repr_, capacity=1024))
-    tf = b._tf
-    home = 700
-    sym_bits = b._sym_bits
-    root_key = b._root_key  # the root's (0, code) key is already placed
-
-    def key_at(quot):
-        k = tf.inverse((home << sym_bits) | quot)
-        return k >> sym_bits, k & ((1 << sym_bits) - 1)
-
-    edges = [key_at(q) for q in range(1, 211)]
-    edges = [e for e in edges if e != (0, root_key)]
-    present, absent = edges[:200], edges[200:]
+    edges = shared_home_edges(b, 700, 310)
+    present, absent = edges[:300], edges[300:]
     ids = {e: b.addchild(*e) for e in present}
     assert b.growth_events == 0
-    assert b._disp.mid_count > 0 and b._disp.spill_count > 0
+    disp = b._disp
+    assert len(disp._wide) > 0 and max(disp._wide) > 255
+    assert disp.mid_count > 0 and disp.spill_count > 0
     for e, nid in ids.items():
         assert b.getchild(*e) == nid
     for e in absent:
         assert b.getchild(*e) is None
+    keys = b.parent_keys()
+    for (u, c), nid in ids.items():
+        assert keys[nid] == (u << b._sym_bits) | c
 
 
 @pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
 def test_displacement_tiers_after_doublings(repr_):
-    # every doubling rebuilds the overflow tables; afterwards each escaped
-    # nibble must have exactly one entry, in the tier its size calls for
+    # every doubling rebuilds the escape map; afterwards its slots are
+    # exactly the slots whose nibble escaped, with no orphan entry left
     nodes = []
 
     def follow(remap, new_cap):
@@ -139,16 +187,10 @@ def test_displacement_tiers_after_doublings(repr_):
     assert b.growth_events >= 8
     assert len(list(b._used_slots())) == b.node_count
     disp = b._disp
-    escaped = [j for j in range(b.capacity) if disp._base.get(j) == _SMALL_ESCAPE]
-    assert len(escaped) == disp.mid_count + disp.spill_count
-    assert disp.mid_count > 0
-    for j in escaped:
-        d = disp.get(j)
-        assert d >= _SMALL_ESCAPE
-        if d < _MID_LIMIT:
-            assert disp._mid.get(j) == d - _SMALL_ESCAPE and disp._spill.get(j) is None
-        else:
-            assert disp._spill.get(j) == d and disp._mid.get(j) is None
+    escaped = [j for j in range(b.capacity) if b._marks.get(j) == _SMALL_ESCAPE]
+    assert escaped
+    assert disp._keys.tolist() == escaped
+    assert all(disp.get(j) >= _SMALL_ESCAPE for j in escaped)
 
 
 # ---------------------------------------------------------------- fresh state
@@ -305,8 +347,8 @@ def test_parent_index_follows_every_change(repr_):
 
 
 def _check_words(b, oracle):
-    """Compare every word of b, read through IntVector.get and
-    DisplacementStore.get alone, with the oracle's edges; returns the
+    """Compare every word of b, read through IntVector.get and the
+    displacement reader alone, with the oracle's edges; returns the
     number of escaped displacements."""
     marks = b._marks
     used = [j for j in range(b.capacity) if marks.get(j) != marks._mask]
@@ -318,7 +360,7 @@ def _check_words(b, oracle):
         if hasattr(b, "_table"):
             k = b._table.get(j)
         else:
-            i = (j - b._disp.get(j)) & b._cap_mask
+            i = (j - displacement(b, j)) & b._cap_mask
             k = b._tf.inverse((i << b._sym_bits) | b._quot.get(j))
         got.append((k, j if ids is None else ids.get(j)))
     want = [(b._root_key, b.root_id)]
@@ -328,13 +370,13 @@ def _check_words(b, oracle):
     if hasattr(b, "_table"):
         assert all(b._table.get(j) == b._table._mask for j in vacant)
     else:
-        assert all(b._disp._base.get(j) == _VACANT for j in vacant)
+        assert all(b._marks.get(j) == _VACANT for j in vacant)
         assert all(b._quot.get(j) == 0 for j in vacant)
     if ids is not None:
         assert all(ids.get(j) == 0 for j in vacant)
     if not hasattr(b, "_disp"):
         return 0
-    return b._disp.mid_count + b._disp.spill_count
+    return len(b._disp)
 
 
 @pytest.mark.parametrize("lam", [64, 4])
@@ -490,7 +532,7 @@ def test_mean_displacement_near_uniform(repr_, corpus):
     # (1/(1 - load) - 1)/2 slots on average; clustering shows up as a
     # multiple of that
     b = build(repr_, CORPORA[corpus](20_000, seed=0), lam=64)._backend
-    disp = [b._disp.get(j) for j in b._used_slots()]
+    disp = [displacement(b, j) for j in b._used_slots()]
     load = b.node_count / b.capacity
     assert sum(disp) / len(disp) <= 2 * 0.5 * (1 / (1 - load) - 1)
 
