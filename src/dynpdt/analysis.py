@@ -58,7 +58,8 @@ def shape_stats(d: Dictionary) -> ShapeStats:
     step_count = 0
     height_sum = 0
     label_sum = 0
-    keys = d._backend.parent_keys()
+    backend = d._backend
+    keys = backend.parent_keys()
     step = d._step_code
     for nid, payload in d._nlm.iter_items():
         node_count += 1
@@ -67,7 +68,7 @@ def shape_stats(d: Dictionary) -> ShapeStats:
             continue
         label_sum += len(payload.label) + 1
         # each non-step edge ends at a labeled node
-        height_sum += sum(c != step for _, c in d._edges_above(keys, nid))
+        height_sum += sum(c != step for _, c in backend.edges_above(keys, nid))
     if node_count == 0:
         raise EmptyCorpus("dictionary holds no keywords")
     if node_count != d.node_count:

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-TERMINATOR = 0x00
-
 VALUE_BITS = 32
 NO_VALUE = (1 << VALUE_BITS) - 1  # reserved "absent" payload, rejected at the API boundary
 
@@ -94,6 +92,10 @@ class Config:
             raise ContractViolation(f"trie_repr must be one of {REPRS}")
         if self.label_map not in LABEL_MAPS:
             raise ContractViolation(f"label_map must be one of {LABEL_MAPS}")
+        for name in ("offset_limit", "group_size", "initial_capacity"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ContractViolation(f"{name} must be an int, got {type(v).__name__}")
         if self.offset_limit < 4 or not _is_pow2(self.offset_limit):
             raise ContractViolation("offset_limit must be a power of two >= 4")
         if self.group_size not in GROUP_SIZES:

@@ -183,31 +183,11 @@ class Dictionary:
             if backend.node_count != nodes:
                 raise RuntimeError("dictionary changed size during iteration")
 
-    def _edges_above(self, keys, u: int) -> list[tuple[int, int]]:
-        """(node, incoming edge code) from u up to the root, bottom-up.
-
-        keys is a parent_keys() snapshot. Reaching the reserved root key
-        anywhere but at the root means the snapshot or the table is broken.
-        """
-        backend = self._backend
-        root = backend.root_id
-        root_key = backend._root_key
-        zs = backend._sym_bits
-        code_mask = backend._sym_space - 1
-        chain = []
-        while u != root:
-            k = keys[u]
-            if k == root_key:
-                raise CorruptionError(f"node {u} has no parent edge")
-            chain.append((u, k & code_mask))
-            u = k >> zs
-        return chain
-
     def _spell(self, keys, nid: int, label: bytes) -> bytes:
         nlm = self._nlm
         lam = self._lam
         step = self._step_code
-        chain = self._edges_above(keys, nid)
+        chain = self._backend.edges_above(keys, nid)
         parts = []
         pending = 0
         cur_label = nlm.access(self._backend.root_id).label

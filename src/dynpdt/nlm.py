@@ -47,7 +47,6 @@ import sys
 from typing import NamedTuple
 
 from .core import ContractViolation, CorruptionError
-from .hashing import vbyte_decode, vbyte_encode
 
 
 class Payload(NamedTuple):
@@ -61,6 +60,39 @@ _ESCAPE = 255  # the code of a label too long for a one-byte size
 _LONG = _ESCAPE - 4  # the shortest label that takes the escape
 # the group no id has written yet, one per width, shared by every map
 _EMPTY = {1 << i: bytes(1 << i) for i in range(7)}
+
+
+def vbyte_encode(n: int) -> bytes:
+    """Encode a non-negative integer, 7 data bits per byte, low group first.
+
+    The high bit of each byte marks continuation. 0 encodes as a single
+    0x00 byte.
+    """
+    if n < 0:
+        raise ContractViolation("vbyte encodes non-negative integers only")
+    out = bytearray()
+    while n >= 0x80:
+        out.append(0x80 | (n & 0x7F))
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+def vbyte_decode(buf, offset: int = 0) -> tuple[int, int]:
+    """Decode one integer from buf at offset. Returns (value, bytes consumed)."""
+    n = 0
+    shift = 0
+    pos = offset
+    end = len(buf)
+    while True:
+        if pos >= end:
+            raise CorruptionError("vbyte ran past the end of the buffer")
+        b = buf[pos]
+        pos += 1
+        n |= (b & 0x7F) << shift
+        if b < 0x80:
+            return n, pos - offset
+        shift += 7
 
 
 def _payload_start(buf: bytes, ell: int, rank: int) -> int:
@@ -124,33 +156,30 @@ class LabelMap:
         groups[g] = b"".join((buf[:rank], record[:1], buf[rank + 1:start],
                               record[1:], buf[start:]))
 
-    def _record(self, nid: int, new_value: int | None = None) -> Payload | None:
-        """Decode nid's record, or rewrite it with new_value as its value.
-
-        This is access() when new_value is None and update_value()
-        otherwise, so both find records through the same code.
-        """
-        g = nid >> self._shift
+    def access(self, nid: int) -> Payload | None:
+        """nid's record decoded: a Payload, _STEP for a step, None for no record."""
         try:
-            buf = self._groups[g]
+            buf = self._groups[nid >> self._shift]
         except IndexError:  # past the last group, which reads as unwritten
-            buf = self._empty
+            return None
         rank = nid & self._mask
         code = buf[rank]
         if code < 2:
-            if new_value is not None:
-                raise ContractViolation(f"id {nid} has no keyword record")
             return _STEP if code else None
         start, end = _label_span(buf, code, _payload_start(buf, self._ell, rank))
-        if new_value is None:
-            return Payload(buf[start:end], int.from_bytes(buf[end:end + 4], "little"))
-        self._groups[g] = buf[:end] + new_value.to_bytes(4, "little") + buf[end + 4:]
-        return None
-
-    access = _record
+        return Payload(buf[start:end], int.from_bytes(buf[end:end + 4], "little"))
 
     def update_value(self, nid: int, value: int) -> None:
-        self._record(nid, value)
+        """Rewrite the value of nid's keyword record; its group is rebuilt."""
+        g = nid >> self._shift
+        groups = self._groups
+        buf = groups[g] if g < len(groups) else self._empty
+        rank = nid & self._mask
+        code = buf[rank]
+        if code < 2:
+            raise ContractViolation(f"id {nid} has no keyword record")
+        end = _label_span(buf, code, _payload_start(buf, self._ell, rank))[1]
+        groups[g] = buf[:end] + value.to_bytes(4, "little") + buf[end + 4:]
 
     def match(self, nid: int, s: bytes, pos: int, n: int) -> int | None:
         """Compare nid's label with s[pos:n] in place, where s[n] ends s.

@@ -12,11 +12,13 @@ interchangeable layouts implement the same contract:
   ids are assigned in creation order and survive growth unchanged, held
   in one slot-to-id array.
 
-One multiply by the golden-ratio constant homes every node table. All
-four home key k at the high bits of hv = BijectiveTransform.forward(k),
-which truncates the constant to the key's width; the compact layouts store
-hv's low symbol_bits as the quotient. So ``pbt`` and ``cbt`` put every node
-in the same slot, as do ``pfkt`` and ``cfkt``.
+This module defines what the node tables store. One multiply by the
+golden-ratio constant homes every table: golden_multipliers(w) truncates
+the constant to the key width w, and all four layouts home key k at the
+high bits of hv = k * m mod 2**w; the compact layouts store hv's low
+symbol_bits as the quotient, and multiplying by the inverse recovers k. So
+``pbt`` and ``cbt`` put every node in the same slot, as do ``pfkt`` and
+``cfkt``.
 
 All four grow through ``_HashTrie._grow``, which refills an empty larger
 table through the layout's placement and key-decoding hooks, never probing
@@ -33,14 +35,16 @@ ones. There nibble 15 is vacant, 0-13 are the displacement itself and 14
 escapes: the displacement is then held in one small map from slot id to
 displacement, SpillTable, searched by bisection.
 
-The per-node hooks (placement, key decoding, id claims, the slot scan and
-the refills) read and write the packed IntVector words in place, with no
-method call per entry, and each write is one bit operation on the words
-the entry spans. Two facts make that so. A vacant key or nibble entry is
-all ones, so the stored value goes in with an XOR against all ones. Slots
-are never freed, so the quotient or id entry of a slot not yet placed is
-still zero and the value goes in with an OR. Only an escaped displacement
-goes through the map; IntVector.get and set serve the cold paths.
+Every table is built of IntVectors: fixed-width entries packed low bit
+first into 64-bit words, so entry i spans bits [i * width, (i + 1) * width)
+and may straddle two words. The per-node hooks (placement, key decoding,
+id claims, the slot scan and the refills) read and write those words in
+place, with no method call per entry, and each write is one bit operation
+on the words the entry spans. Two facts make that so. A vacant key or
+nibble entry is all ones, so the stored value goes in with an XOR against
+all ones. Slots are never freed, so the quotient or id entry of a slot not
+yet placed is still zero and the value goes in with an OR. Only an escaped
+displacement goes through the map.
 
 Parent links serve only enumeration: ``parent_keys`` reads every node's
 packed key, indexed by node id, in one pass over the used slots.
@@ -53,7 +57,6 @@ from array import array
 from bisect import bisect_left
 from time import perf_counter_ns
 
-from .bitarrays import IntVector
 from .core import (
     MAX_CAPACITY,
     Config,
@@ -61,12 +64,61 @@ from .core import (
     CorruptionError,
     ResourceExhausted,
 )
-from .hashing import BijectiveTransform
+
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # the odd integer nearest 2**64 / golden ratio
 
 _VACANT = (1 << 4) - 1                 # the nibble of an empty slot
 _SMALL_ESCAPE = _VACANT - 1            # displacement >= 14 leaves the 4-bit array
 _MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # m-Bonsai's mid/spill tier boundary
 _WORD = (1 << 64) - 1
+
+
+def golden_multipliers(bits: int) -> tuple[int, int]:
+    """The odd multiplier m that homes keys of the given width, and m**-1.
+
+    m is the golden-ratio constant truncated to bits and forced odd, so
+    x -> x * m mod 2**bits is a bijection over [0, 2**bits) that fixes 0
+    and y -> y * m**-1 mod 2**bits undoes it (Knuth's multiplicative
+    hashing). The high bits of the product depend on every bit of x.
+    """
+    mult = (GOLDEN_GAMMA & ((1 << bits) - 1)) | 1
+    return mult, pow(mult, -1, 1 << bits)
+
+
+class IntVector:
+    """Fixed-size vector of width-bit unsigned integers, bit-packed.
+
+    Entries may straddle word boundaries. With fill_ones=True every entry
+    starts at the all-ones value of its width, which every table reads as
+    a vacant slot. The tables read and write the words in place, each
+    read an inlined get.
+    """
+
+    __slots__ = ("width", "_words", "_mask")
+
+    def __init__(self, width: int, size: int, fill_ones: bool = False) -> None:
+        if not 1 <= width <= 64:
+            raise ContractViolation(f"entry width {width} outside [1, 64]")
+        self.width = width
+        self._mask = (1 << width) - 1
+        # repeating a one-word array allocates the words once, at their size
+        nwords = (width * size + 63) >> 6
+        self._words = array("Q", [_WORD if fill_ones else 0]) * nwords
+
+    def get(self, i: int) -> int:
+        bit = i * self.width
+        w = bit >> 6
+        off = bit & 63
+        words = self._words
+        v = words[w] >> off
+        rem = 64 - off
+        if rem < self.width:
+            v |= words[w + 1] << rem
+        return v & self._mask
+
+    @property
+    def allocated_bytes(self) -> int:
+        return sys.getsizeof(self._words)
 
 
 class SpillTable:
@@ -156,7 +208,9 @@ class _HashTrie:
         self.capacity = capacity
         self._cap_bits = cap_bits
         self._cap_mask = capacity - 1
-        self._tf = BijectiveTransform(cap_bits + self._sym_bits)
+        key_bits = cap_bits + self._sym_bits
+        self._key_mask = (1 << key_bits) - 1
+        self._mult, self._mult_inv = golden_multipliers(key_bits)
 
     def _claim_child(self, slot: int) -> int:
         return slot
@@ -221,6 +275,25 @@ class _HashTrie:
         for j in self._used_slots():
             keys[node_at(j)] = slot_key(j)
         return keys
+
+    def edges_above(self, keys, u: int) -> list[tuple[int, int]]:
+        """(node, incoming edge code) from u up to the root, bottom-up.
+
+        keys is a parent_keys() snapshot. Reaching the reserved root key
+        anywhere but at the root means the snapshot or the table is broken.
+        """
+        root = self.root_id
+        root_key = self._root_key
+        zs = self._sym_bits
+        code_mask = self._sym_space - 1
+        chain = []
+        while u != root:
+            k = keys[u]
+            if k == root_key:
+                raise CorruptionError(f"node {u} has no parent edge")
+            chain.append((u, k & code_mask))
+            u = k >> zs
+        return chain
 
     # growth ----------------------------------------------------------
     def _grow(self, capacity: int):
@@ -289,10 +362,10 @@ class PlainBonsaiTrie(_HashTrie):
         self._table = self._marks = IntVector(width, capacity, fill_ones=True)
 
     def _place(self, k: int) -> int:
-        # forward() and the entry reads are inlined; k goes into the
-        # all-ones vacant entry with one XOR per word it spans
+        # the entry reads are inlined; k goes into the all-ones vacant
+        # entry with one XOR per word it spans
         mask = self._cap_mask
-        j = (k * self._tf._mult >> self._sym_bits) & mask
+        j = (k * self._mult >> self._sym_bits) & mask
         table = self._table
         words = table._words
         width = table.width
@@ -314,11 +387,11 @@ class PlainBonsaiTrie(_HashTrie):
         return j
 
     def _find_slot(self, u: int, c: int) -> int | None:
-        # one frame: BijectiveTransform.forward and IntVector.get are inlined
+        # one frame: IntVector.get is inlined
         zs = self._sym_bits
         k = (u << zs) | c
         mask = self._cap_mask
-        j = (k * self._tf._mult >> zs) & mask
+        j = (k * self._mult >> zs) & mask
         table = self._table
         words = table._words
         width = table.width
@@ -365,10 +438,10 @@ class CompactBonsaiTrie(_HashTrie):
         self._disp = SpillTable(self._cap_bits)
 
     def _place(self, k: int) -> int:
-        # forward() and the nibble reads are inlined; the quotient goes into
-        # its zero entry with an OR, the displacement, or the escape value
+        # the nibble reads are inlined; the quotient goes into its zero
+        # entry with an OR, the displacement, or the escape value
         # for one the map holds, into its all-ones nibble with an XOR
-        hv = k * self._tf._mult
+        hv = k * self._mult
         zs = self._sym_bits
         mask = self._cap_mask
         i = (hv >> zs) & mask
@@ -394,13 +467,12 @@ class CompactBonsaiTrie(_HashTrie):
         return j
 
     def _find_slot(self, u: int, c: int) -> int | None:
-        # one frame: BijectiveTransform.forward and the quotient and 4-bit
-        # displacement reads are inlined; only an escaped displacement is
-        # read from the map
+        # one frame: the quotient and 4-bit displacement reads are inlined;
+        # only an escaped displacement is read from the map
         zs = self._sym_bits
         quot = self._quot
         qmask = quot._mask
-        hv = ((u << zs) | c) * self._tf._mult
+        hv = ((u << zs) | c) * self._mult
         mask = self._cap_mask
         j = (hv >> zs) & mask
         q = hv & qmask
@@ -430,8 +502,8 @@ class CompactBonsaiTrie(_HashTrie):
     getchild = _find_slot
 
     def _slot_key(self, j: int) -> int:
-        # the nibble and quotient reads and BijectiveTransform.inverse are
-        # inlined; only an escaped displacement is read from the map
+        # the nibble and quotient reads are inlined; only an escaped
+        # displacement is read from the map
         d = (self._marks._words[j >> 4] >> ((j & 15) << 2)) & 15
         if d >= _SMALL_ESCAPE:
             d = self._disp.get(j)
@@ -444,9 +516,8 @@ class CompactBonsaiTrie(_HashTrie):
         q = words[w] >> off
         if off + width > 64:
             q |= words[w + 1] << (64 - off)
-        tf = self._tf
         i = (j - d) & self._cap_mask
-        return ((i << self._sym_bits) | (q & quot._mask)) * tf._mult_inv & tf._mask
+        return ((i << self._sym_bits) | (q & quot._mask)) * self._mult_inv & self._key_mask
 
     def memory_bytes(self) -> int:
         return (self._quot.allocated_bytes + self._marks.allocated_bytes +

@@ -97,7 +97,9 @@ class OracleTrie:
 
     def check_all(self) -> None:
         """Compare the backend's whole parent_keys() array with the edges
-        held here: the root and every id no node holds read the root key."""
+        held here: the root and every id no node holds read the root key.
+        Then compare every node's edges_above() climb with its chain of
+        parents here."""
         b = self.backend
         assert b.node_count == self.n_nodes
         ids = set(self.bid.values())
@@ -105,4 +107,12 @@ class OracleTrie:
         want = array("Q", [b._root_key]) * b.capacity
         for handle, (parent, code) in self.parent.items():
             want[self.bid[handle]] = (self.bid[parent] << b._sym_bits) | code
-        assert b.parent_keys() == want
+        keys = b.parent_keys()
+        assert keys == want
+        for handle, u in self.bid.items():
+            chain = []
+            while handle != self.root:
+                parent, code = self.parent[handle]
+                chain.append((self.bid[handle], code))
+                handle = parent
+            assert b.edges_above(keys, u) == chain

@@ -20,7 +20,8 @@ from dynpdt.analysis import (
 )
 from dynpdt.cli import shuffle_keys
 from dynpdt.core import LABEL_MAPS, REPRS, validate_keyword
-from dynpdt.hashing import BijectiveTransform, vbyte_decode, vbyte_encode
+from dynpdt.nlm import vbyte_decode, vbyte_encode
+from dynpdt.trie_repr import golden_multipliers
 from oracles import OracleDictionary, parent_edges
 
 ALL_COMBOS = [(r, m) for r in REPRS for m in LABEL_MAPS]
@@ -196,19 +197,21 @@ def test_criterion_04_load_factor(growth_run):
 
 def test_criterion_05_bijective_transform():
     for z in range(1, 17):
-        tf = BijectiveTransform(z)
+        mult, inv = golden_multipliers(z)
         size = 1 << z
+        mask = size - 1
         seen = bytearray(size)
         for x in range(size):
-            y = tf.forward(x)
-            assert tf.inverse(y) == x
+            y = x * mult & mask
+            assert y * inv & mask == x
             seen[y] = 1
         assert all(seen)
-    tf = BijectiveTransform(48)
+    mult, inv = golden_multipliers(48)
+    mask = (1 << 48) - 1
     rng = random.Random(5)
     for _ in range(1_000_000):
         x = rng.getrandbits(48)
-        assert tf.inverse(tf.forward(x)) == x
+        assert (x * mult & mask) * inv & mask == x
 
 
 def test_criterion_06_vbyte_codec():

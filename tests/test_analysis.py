@@ -217,7 +217,7 @@ def test_match_profile_counts_path_labels(combo, small_words):
     for w in small_words:
         u, held = d._walk(w + b"\0")[:2]
         assert held is not None
-        edges = d._edges_above(keys, u)
+        edges = d._backend.edges_above(keys, u)
         paths.append(1 + sum(c != d._step_code for _, c in edges))
         assert nonstep_path_nodes(d, w) == paths[-1]
     assert prof.labels == sum(paths)

@@ -6,55 +6,42 @@ from types import SimpleNamespace
 
 import pytest
 
-from dynpdt.bitarrays import IntVector
-from dynpdt.core import ContractViolation
-from dynpdt.trie_repr import _HashTrie
+from dynpdt.trie_repr import IntVector, _HashTrie
+
+
+def load(vec, model):
+    """Write model's values into vec's words: entry i takes bits
+    [i * width, (i + 1) * width) of the integer whose bits [64 w, 64 w + 64)
+    are word w. The bits past the last entry keep their fill."""
+    words = vec._words
+    big = sum(word << 64 * w for w, word in enumerate(words))
+    mask = (1 << vec.width) - 1
+    for i, v in enumerate(model):
+        assert 0 <= v <= mask
+        big = big & ~(mask << i * vec.width) | v << i * vec.width
+    for w in range(len(words)):
+        words[w] = big >> 64 * w & (1 << 64) - 1
+    return vec
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 8, 31, 32, 33, 63, 64])
 def test_intvector_matches_list_model(width):
     rng = random.Random(width)
     size = 257  # crosses several word boundaries at every width
-    vec = IntVector(width, size)
-    model = [0] * size
     top = (1 << width) - 1
-    for _ in range(2000):
-        i = rng.randrange(size)
-        v = rng.randint(0, top)
-        vec.set(i, v)
-        model[i] = v
-        j = rng.randrange(size)
-        assert vec.get(j) == model[j]
-    assert [vec.get(i) for i in range(size)] == model
+    for fill_ones in (False, True):
+        model = [rng.choice([0, top, rng.randint(0, top)]) for _ in range(size)]
+        vec = load(IntVector(width, size, fill_ones), model)
+        assert [vec.get(i) for i in range(size)] == model
 
 
 def test_intvector_straddle_isolation():
-    # width 31 guarantees entries spanning two backing words
-    vec = IntVector(31, 10)
-    vec.set(1, 0x7FFFFFFF)
-    vec.set(2, 0)
-    vec.set(3, 0x2AAAAAAA)
-    assert vec.get(1) == 0x7FFFFFFF
-    assert vec.get(2) == 0
-    assert vec.get(3) == 0x2AAAAAAA
-    vec.set(2, 0x55555555 & 0x7FFFFFFF)
-    assert vec.get(1) == 0x7FFFFFFF  # neighbours untouched
-    assert vec.get(3) == 0x2AAAAAAA
-
-
-@pytest.mark.parametrize("width", [16, 31])  # one within a word, one straddling
-@pytest.mark.parametrize("fill_ones", [False, True])
-def test_intvector_set_refuses_values_that_do_not_fit(width, fill_ones):
-    # a wider or negative value would overwrite the neighbouring entry
-    vec = IntVector(width, 8, fill_ones)
-    before = [vec.get(i) for i in range(8)]
-    for bad in (1 << width, (1 << (width + 1)) + 5, -1, -(1 << width)):
-        with pytest.raises(ContractViolation):
-            vec.set(3, bad)
-    assert [vec.get(i) for i in range(8)] == before
-    vec.set(3, (1 << width) - 1)
-    vec.set(4, 0)
-    assert vec.get(3) == (1 << width) - 1 and vec.get(4) == 0
+    # width 31 guarantees entries spanning two backing words; each read
+    # takes its own bits only, beside all-ones and all-zeros neighbours
+    for mid in (0, 0x55555555 & 0x7FFFFFFF):
+        model = [0, 0x7FFFFFFF, mid, 0x2AAAAAAA, 0x7FFFFFFF, 0, 0, 0, 0, 0]
+        vec = load(IntVector(31, 10), model)
+        assert [vec.get(i) for i in range(10)] == model
 
 
 @pytest.mark.parametrize("width", [1, 4, 13, 64])
@@ -64,7 +51,7 @@ def test_intvector_fill_ones(width):
     vec = IntVector(width, 150, fill_ones=True)
     ones = (1 << width) - 1
     assert all(vec.get(i) == ones for i in range(150))
-    vec.set(70, 0)
+    load(vec, [ones] * 70 + [0])
     assert vec.get(70) == 0
     assert vec.get(69) == vec.get(71) == ones
 
@@ -78,11 +65,12 @@ def test_nonvacant_lists_the_entries_that_are_not_all_ones(width, size):
     rng = random.Random(width * 1000 + size)
     ones = (1 << width) - 1
     for fill_ones in (False, True):
-        vec = IntVector(width, size, fill_ones)
-        for i in range(size):
-            if rng.random() < 0.3 and not 64 <= i < 128:
-                vec.set(i, rng.choice([0, 1, ones - 1, 1 << (width - 1), ones]))
-        want = [i for i in range(size) if vec.get(i) != ones]
+        fill = ones if fill_ones else 0
+        model = [rng.choice([0, 1, ones - 1, 1 << (width - 1), ones])
+                 if rng.random() < 0.3 and not 64 <= i < 128 else fill
+                 for i in range(size)]
+        vec = load(IntVector(width, size, fill_ones), model)
+        want = [i for i in range(size) if model[i] != ones]
         table = SimpleNamespace(_marks=vec, capacity=size)
         assert list(_HashTrie._used_slots(table)) == want
 

@@ -45,6 +45,10 @@ def test_config_defaults_and_derived():
     {"initial_capacity": 100},
     {"initial_capacity": 8},
     {"offset_limit": 1 << 56},  # packed (node, code) keys would exceed 64 bits
+    {"group_size": 16.0},       # sizes are ints, even when the value is listed
+    {"initial_capacity": 16.0},
+    {"offset_limit": 64.0},
+    {"offset_limit": "64"},
 ])
 def test_config_rejects(kwargs):
     with pytest.raises((ContractViolation, ValueError)):

@@ -225,7 +225,10 @@ def test_climb_to_reserved_key_is_corruption(repr_, monkeypatch):
         d.insert(w, i)
     b = d._backend
     keys = b.parent_keys()
-    keys[next(iter(parent_edges(b)))] = b._root_key
+    broken = next(iter(parent_edges(b)))
+    keys[broken] = b._root_key
+    with pytest.raises(CorruptionError, match=f"node {broken} has no parent edge"):
+        b.edges_above(keys, broken)
     monkeypatch.setattr(b, "parent_keys", lambda: keys)
     with pytest.raises(CorruptionError, match="no parent edge"):
         list(d.items())

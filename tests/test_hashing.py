@@ -3,33 +3,37 @@ import random
 import pytest
 
 from dynpdt.core import CorruptionError
-from dynpdt.hashing import BijectiveTransform, vbyte_decode, vbyte_encode
+from dynpdt.nlm import vbyte_decode, vbyte_encode
+from dynpdt.trie_repr import golden_multipliers
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 8, 13])
 def test_transform_is_a_permutation(bits):
-    tf = BijectiveTransform(bits)
+    mult, inv = golden_multipliers(bits)
     domain = 1 << bits
-    image = {tf.forward(x) for x in range(domain)}
+    mask = domain - 1
+    image = {x * mult & mask for x in range(domain)}
     assert image == set(range(domain))
     for x in range(domain):
-        assert tf.inverse(tf.forward(x)) == x
+        assert (x * mult & mask) * inv & mask == x
 
 
 def test_transform_round_trip_wide():
-    tf = BijectiveTransform(48)
+    mult, inv = golden_multipliers(48)
+    mask = (1 << 48) - 1
     rng = random.Random(7)
     for _ in range(10_000):
         x = rng.getrandbits(48)
-        y = tf.forward(x)
-        assert 0 <= y < 1 << 48
-        assert tf.inverse(y) == x
+        y = x * mult & mask
+        assert y * inv & mask == x
 
 
 def test_transform_fixes_zero():
-    # x=0 survives the odd multiply
+    # the multiplier is odd, so it is invertible, and x=0 survives it
     for bits in (4, 16, 48):
-        assert BijectiveTransform(bits).forward(0) == 0
+        mult, inv = golden_multipliers(bits)
+        assert mult & 1
+        assert mult * inv & ((1 << bits) - 1) == 1
 
 
 def test_vbyte_frozen_encodings():

@@ -14,8 +14,7 @@ from hypothesis.stateful import (
 
 from dynpdt import Dictionary
 from dynpdt.core import REPRS, Config, ContractViolation, CorruptionError, NO_VALUE
-from dynpdt.hashing import vbyte_encode
-from dynpdt.nlm import LabelMap, make_label_map
+from dynpdt.nlm import LabelMap, make_label_map, vbyte_encode
 
 ELLS = (1, 8, 16, 64)  # plm's one record per group, and three slm widths
 MAKERS = [lambda ell=ell: LabelMap(ell) for ell in ELLS]

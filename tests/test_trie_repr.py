@@ -111,7 +111,7 @@ def shared_home_edges(b, home, n):
     sym_bits = b._sym_bits
     edges = []
     for quot in range(1, n + 2):
-        k = b._tf.inverse((home << sym_bits) | quot)
+        k = ((home << sym_bits) | quot) * b._mult_inv & b._key_mask
         edges.append((k >> sym_bits, k & ((1 << sym_bits) - 1)))
     return [e for e in edges if e != (0, b._root_key)][:n]
 
@@ -206,7 +206,7 @@ def test_fresh_backend_state(repr_):
         assert b.root_id == 0
     root_key = cfg(repr_).symbol_space - 1
     if repr_ in ("pbt", "cbt"):
-        assert b.root_id == b._tf.forward(root_key) >> b._sym_bits
+        assert b.root_id == (root_key * b._mult & b._key_mask) >> b._sym_bits
 
 
 @pytest.mark.parametrize("repr_", REPRS)
@@ -361,7 +361,7 @@ def _check_words(b, oracle):
             k = b._table.get(j)
         else:
             i = (j - displacement(b, j)) & b._cap_mask
-            k = b._tf.inverse((i << b._sym_bits) | b._quot.get(j))
+            k = ((i << b._sym_bits) | b._quot.get(j)) * b._mult_inv & b._key_mask
         got.append((k, j if ids is None else ids.get(j)))
     want = [(b._root_key, b.root_id)]
     want += [((oracle.bid[p] << b._sym_bits) | c, oracle.bid[h])
@@ -406,7 +406,7 @@ def test_in_place_words_agree_with_intvector(repr_, lam):
         escaped.append(_check_words(b, oracle))
         if b.capacity == 512:
             u, mask = b.root_id, b._cap_mask
-            home = [((u << zs | c) * b._tf._mult >> zs) & mask for c in range(step + 1)]
+            home = [((u << zs | c) * b._mult >> zs) & mask for c in range(step + 1)]
             near = sorted((c for c in range(step + 1) if (oracle.root, c) not in oracle.children),
                           key=lambda c: (home[c] - home[0]) & mask)
             for c in near[:120]:
