@@ -9,6 +9,10 @@ Both extremes factor per node: a decomposition picks one child branch to
 continue the current path, and extending into the child with the most
 (fewest) leaves minimizes (maximizes) the total, because the off-path
 subtrees each pay their full leaf count in extra depth.
+
+The bounds never build that trie. In the sorted list of terminated
+keywords, a trie node is a run of keywords sharing a prefix, and its
+children are the runs that share the next byte as well.
 """
 
 from __future__ import annotations
@@ -181,45 +185,32 @@ def decomposition_bounds(keywords) -> tuple[int, int, int]:
     trie; dividing by the keyword count gives the attainable band for
     ShapeStats.ave_height. Duplicates in the input are ignored.
     """
-    root: dict = {}
-    for raw in keywords:
-        node = root
-        for b in validate_keyword(raw):
-            nxt = node.get(b)
-            if nxt is None:
-                nxt = {}
-                node[b] = nxt
-            node = nxt
-    if not root:
+    keys = sorted(set(map(validate_keyword, keywords)))
+    if not keys:
         raise EmptyCorpus("no keywords given")
-    return _bounds(root)
-
-
-def _bounds(node: dict) -> tuple[int, int, int]:
-    # iterative post-order: frame = [iterator, leaves, min_sum, max_sum,
-    # heaviest child leaves, lightest child leaves]
-    stack = [[iter(node.values()), 0, 0, 0, 0, -1]]
-    ret = None
+    lo = hi = 0
+    # the terminator makes the keys prefix-free, so the first and last keys
+    # of a range of two or more differ at a depth inside both
+    stack = [(0, len(keys), 0)] if len(keys) > 1 else []
     while stack:
-        frame = stack[-1]
-        if ret is not None:
-            leaves, lo, hi = ret
-            frame[1] += leaves
-            frame[2] += lo + leaves
-            frame[3] += hi + leaves
-            if leaves > frame[4]:
-                frame[4] = leaves
-            if frame[5] < 0 or leaves < frame[5]:
-                frame[5] = leaves
-            ret = None
-        child = next(frame[0], None)
-        if child is None:
-            stack.pop()
-            # continuing the path into the heaviest (lightest) child makes
-            # its leaf surcharge vanish from the total
-            ret = (frame[1], frame[2] - frame[4], frame[3] - frame[5])
-        elif child:
-            stack.append([iter(child.values()), 0, 0, 0, 0, -1])
-        else:
-            ret = (1, 0, 0)
-    return ret
+        start, end, depth = stack.pop()
+        first, last = keys[start], keys[end - 1]
+        while first[depth] == last[depth]:  # sorted: the range's common prefix
+            depth += 1
+        # the range branches at depth: each run sharing that byte is a child
+        runs = []
+        i = start
+        while i < end:
+            b = keys[i][depth]
+            j = i + 1
+            while j < end and keys[j][depth] == b:
+                j += 1
+            runs.append(j - i)
+            if j - i > 1:
+                stack.append((i, j, depth + 1))
+            i = j
+        # continuing the path into the heaviest (lightest) child spares its
+        # keys the one level every other child's keys pay
+        lo += end - start - max(runs)
+        hi += end - start - min(runs)
+    return len(keys), lo, hi

@@ -9,12 +9,13 @@ import gc
 import itertools
 import os
 import random
+import sys
 import tracemalloc
 
 import pytest
 
 import dynpdt
-from conftest import TECH_WORDS, random_words
+from conftest import TECH_WORDS, dna_kmers, random_words, synthetic_urls
 from dynpdt import (
     Config,
     Dictionary,
@@ -130,6 +131,37 @@ def test_bounds_match_exhaustive_oracle(keys):
     assert n == leaves == len(keys)
     assert lo == min(sums)
     assert hi == max(sums)
+
+
+def test_bounds_match_exhaustive_oracle_on_random_sets():
+    # besides the shapes above: corpora of a single key, whose one range
+    # is never split, and keys that are prefixes of others, whose runs
+    # split on the terminator; duplicates in the input are ignored
+    rng = random.Random(23)
+    singles = prefixed = 0
+    for _ in range(400):
+        words = [bytes(rng.choices(b"abc", k=rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 7))]
+        keys = set(words)
+        singles += len(keys) == 1
+        prefixed += any(a != b and b.startswith(a) for a in keys for b in keys)
+        leaves, sums = attainable_height_sums(byte_trie(words))
+        assert decomposition_bounds(words) == (leaves, min(sums), max(sums))
+    assert singles >= 20 and prefixed >= 100
+
+
+@pytest.mark.parametrize("corpus", [synthetic_urls, random_words, dna_kmers])
+def test_bounds_memory_near_the_keys_size(corpus):
+    # the bounds hold the sorted keys and a stack of ranges, not a trie
+    keys = corpus(10_000)
+    own = sum(sys.getsizeof(k) + 1 for k in keys)
+    tracemalloc.start()
+    try:
+        decomposition_bounds(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * own
 
 
 def test_every_permutation_lands_in_bounds():
