@@ -35,10 +35,12 @@ ones. There nibble 15 is vacant, 0-13 are the displacement itself and 14
 escapes: the displacement is then held in one small map from slot id to
 displacement, SpillTable, searched by bisection.
 
-Every table is built of IntVectors: fixed-width entries packed low bit
-first into 64-bit words, so entry i spans bits [i * width, (i + 1) * width)
-and may straddle two words. The per-node hooks (placement, key decoding,
-id claims, the slot scan and the refills) read and write those words in
+Every table is built of ``array("Q")`` words holding fixed-width entries
+packed low bit first: entry i spans bits [i * width, (i + 1) * width) and
+may straddle two words. Widths and masks come from the table's geometry: a
+plain key is cap_bits + symbol_bits wide, a quotient symbol_bits, a nibble
+4 and a dense id cap_bits. The per-node hooks (placement, key decoding, id
+claims, the slot scan and the refills) read and write those words in
 place, with no method call per entry, and each write is one bit operation
 on the words the entry spans. Two facts make that so. A vacant key or
 nibble entry is all ones, so the stored value goes in with an XOR against
@@ -85,40 +87,12 @@ def golden_multipliers(bits: int) -> tuple[int, int]:
     return mult, pow(mult, -1, 1 << bits)
 
 
-class IntVector:
-    """Fixed-size vector of width-bit unsigned integers, bit-packed.
+def packed_words(width: int, size: int, ones: bool = False) -> array:
+    """The words of size width-bit entries, each 0 or, with ones, all ones.
 
-    Entries may straddle word boundaries. With fill_ones=True every entry
-    starts at the all-ones value of its width, which every table reads as
-    a vacant slot. The tables read and write the words in place, each
-    read an inlined get.
+    Repeating a one-word array allocates the words once, at their size.
     """
-
-    __slots__ = ("width", "_words", "_mask")
-
-    def __init__(self, width: int, size: int, fill_ones: bool = False) -> None:
-        if not 1 <= width <= 64:
-            raise ContractViolation(f"entry width {width} outside [1, 64]")
-        self.width = width
-        self._mask = (1 << width) - 1
-        # repeating a one-word array allocates the words once, at their size
-        nwords = (width * size + 63) >> 6
-        self._words = array("Q", [_WORD if fill_ones else 0]) * nwords
-
-    def get(self, i: int) -> int:
-        bit = i * self.width
-        w = bit >> 6
-        off = bit & 63
-        words = self._words
-        v = words[w] >> off
-        rem = 64 - off
-        if rem < self.width:
-            v |= words[w + 1] << rem
-        return v & self._mask
-
-    @property
-    def allocated_bytes(self) -> int:
-        return sys.getsizeof(self._words)
+    return array("Q", [_WORD if ones else 0]) * ((width * size + 63) >> 6)
 
 
 class SpillTable:
@@ -181,18 +155,19 @@ class _HashTrie:
     """Shared shell: capacity bookkeeping, growth, id plumbing.
 
     Each layout supplies the storage hooks: ``_init_storage`` allocates an
-    empty table and points ``_marks`` at the vector whose all-ones entries
-    mark its vacant slots, ``_place(k)`` stores packed key k and returns its
-    slot, ``_find_slot(u, c)`` returns the slot holding edge (u, c) or None
-    and underlies ``getchild``, ``_slot_key(j)`` decodes the key stored at
-    slot j, and ``_node_at(j)`` names the node at slot j. growth_ns sums
-    the wall time of the doublings done so far.
+    empty table and points ``_marks`` at the word array whose all-ones
+    entries, ``_mark_bits`` wide, mark its vacant slots, ``_place(k)``
+    stores packed key k and returns its slot, ``_find_slot(u, c)`` returns
+    the slot holding edge (u, c) or None and underlies ``getchild``,
+    ``_slot_key(j)`` decodes the key stored at slot j, and ``_node_at(j)``
+    names the node at slot j. growth_ns sums the wall time of the
+    doublings done so far.
     """
 
     def __init__(self, config: Config, on_grow=None) -> None:
         self._sym_bits = config.symbol_bits
-        self._sym_space = config.symbol_space
-        self._root_key = config.symbol_space - 1  # reserved code, never a real edge
+        # reserved code, never a real edge; all ones, so also the symbol mask
+        self._root_key = config.symbol_space - 1
         self.on_grow = on_grow
         self.growth_events = 0
         self.growth_ns = 0
@@ -220,10 +195,9 @@ class _HashTrie:
 
     def _used_slots(self):
         """The occupied slots, in increasing order."""
-        marks = self._marks  # IntVector.get, inlined
-        words = marks._words
-        width = marks.width
-        vacant = marks._mask
+        words = self._marks
+        width = self._mark_bits
+        vacant = (1 << width) - 1
         bit = 0
         for j in range(self.capacity):
             w = bit >> 6
@@ -283,9 +257,8 @@ class _HashTrie:
         anywhere but at the root means the snapshot or the table is broken.
         """
         root = self.root_id
-        root_key = self._root_key
+        root_key = code_mask = self._root_key
         zs = self._sym_bits
-        code_mask = self._sym_space - 1
         chain = []
         while u != root:
             k = keys[u]
@@ -306,6 +279,7 @@ class _HashTrie:
         # makes CPython 3.11 take its slower lookup for self's attributes
         new = object.__new__(type(self))
         new._sym_bits = self._sym_bits
+        new._root_key = self._root_key
         new._init_storage(capacity)
         remap = self._refill(new)
         for name, value in vars(new).items():
@@ -327,7 +301,7 @@ class _HashTrie:
         remap doubles as the relocated set: remap[u] >= 0 once u has moved.
         """
         zs = self._sym_bits
-        sym_mask = self._sym_space - 1
+        sym_mask = self._root_key
         place = new._place
         slot_key = self._slot_key
         new.root_id = place(self._root_key)
@@ -358,18 +332,21 @@ class PlainBonsaiTrie(_HashTrie):
 
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)
-        width = self._cap_bits + self._sym_bits
-        self._table = self._marks = IntVector(width, capacity, fill_ones=True)
+        self._table = self._marks = packed_words(self._mark_bits, capacity, ones=True)
+
+    @property
+    def _mark_bits(self) -> int:
+        return self._cap_bits + self._sym_bits  # the key width
 
     def _place(self, k: int) -> int:
         # the entry reads are inlined; k goes into the all-ones vacant
         # entry with one XOR per word it spans
+        zs = self._sym_bits
         mask = self._cap_mask
-        j = (k * self._mult >> self._sym_bits) & mask
-        table = self._table
-        words = table._words
-        width = table.width
-        vacant = table._mask
+        j = (k * self._mult >> zs) & mask
+        words = self._table
+        width = self._cap_bits + zs
+        vacant = self._key_mask
         while True:
             bit = j * width
             w = bit >> 6
@@ -387,15 +364,14 @@ class PlainBonsaiTrie(_HashTrie):
         return j
 
     def _find_slot(self, u: int, c: int) -> int | None:
-        # one frame: IntVector.get is inlined
+        # one frame: the entry reads are inlined
         zs = self._sym_bits
         k = (u << zs) | c
         mask = self._cap_mask
         j = (k * self._mult >> zs) & mask
-        table = self._table
-        words = table._words
-        width = table.width
-        vacant = table._mask  # also the entry mask
+        words = self._table
+        width = self._cap_bits + zs
+        vacant = self._key_mask  # also the entry mask
         while True:
             bit = j * width
             w = bit >> 6
@@ -413,28 +389,29 @@ class PlainBonsaiTrie(_HashTrie):
     getchild = _find_slot
 
     def _slot_key(self, j: int) -> int:
-        table = self._table  # IntVector.get, inlined
-        words = table._words
-        width = table.width
+        words = self._table
+        width = self._cap_bits + self._sym_bits
         bit = j * width
         w = bit >> 6
         off = bit & 63
         k = words[w] >> off
         if off + width > 64:
             k |= words[w + 1] << (64 - off)
-        return k & table._mask
+        return k & self._key_mask
 
     def memory_bytes(self) -> int:
-        return self._table.allocated_bytes
+        return sys.getsizeof(self._table)
 
 
 class CompactBonsaiTrie(_HashTrie):
     """Quotient-only key storage: 4-bit displacements, escapes in one map."""
 
+    _mark_bits = 4
+
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)
-        self._quot = IntVector(self._sym_bits, capacity)
-        self._marks = IntVector(4, capacity, fill_ones=True)
+        self._quot = packed_words(self._sym_bits, capacity)
+        self._marks = packed_words(4, capacity, ones=True)
         self._disp = SpillTable(self._cap_bits)
 
     def _place(self, k: int) -> int:
@@ -445,19 +422,17 @@ class CompactBonsaiTrie(_HashTrie):
         zs = self._sym_bits
         mask = self._cap_mask
         i = (hv >> zs) & mask
-        nibbles = self._marks._words
+        nibbles = self._marks
         j = i
         while (nibbles[j >> 4] >> ((j & 15) << 2)) & 15 != _VACANT:
             j = (j + 1) & mask
-        quot = self._quot
-        width = quot.width
-        bit = j * width
+        bit = j * zs
         w = bit >> 6
         off = bit & 63
-        q = (hv & quot._mask) << off
-        qwords = quot._words
+        q = (hv & self._root_key) << off
+        qwords = self._quot
         qwords[w] |= q & _WORD
-        if off + width > 64:
+        if off + zs > 64:
             qwords[w + 1] |= q >> 64
         d = (j - i) & mask
         if d >= _SMALL_ESCAPE:
@@ -470,16 +445,14 @@ class CompactBonsaiTrie(_HashTrie):
         # one frame: the quotient and 4-bit displacement reads are inlined;
         # only an escaped displacement is read from the map
         zs = self._sym_bits
-        quot = self._quot
-        qmask = quot._mask
+        qmask = self._root_key
         hv = ((u << zs) | c) * self._mult
         mask = self._cap_mask
         j = (hv >> zs) & mask
         q = hv & qmask
-        qwords = quot._words
-        width = quot.width
+        qwords = self._quot
         disp = self._disp
-        nibbles = self._marks._words
+        nibbles = self._marks
         vacant = _VACANT
         esc = _SMALL_ESCAPE
         d = 0
@@ -487,11 +460,11 @@ class CompactBonsaiTrie(_HashTrie):
             # below the escape value the nibble is the displacement itself;
             # at it, the displacement is some d >= 14 held in the map
             if nib == d or nib == esc <= d:
-                bit = j * width
+                bit = j * zs
                 w = bit >> 6
                 off = bit & 63
                 v = qwords[w] >> off
-                if off + width > 64:
+                if off + zs > 64:
                     v |= qwords[w + 1] << (64 - off)
                 if v & qmask == q and (nib < esc or disp.get(j) == d):
                     return j
@@ -504,23 +477,22 @@ class CompactBonsaiTrie(_HashTrie):
     def _slot_key(self, j: int) -> int:
         # the nibble and quotient reads are inlined; only an escaped
         # displacement is read from the map
-        d = (self._marks._words[j >> 4] >> ((j & 15) << 2)) & 15
+        d = (self._marks[j >> 4] >> ((j & 15) << 2)) & 15
         if d >= _SMALL_ESCAPE:
             d = self._disp.get(j)
-        quot = self._quot
-        words = quot._words
-        width = quot.width
-        bit = j * width
+        zs = self._sym_bits
+        words = self._quot
+        bit = j * zs
         w = bit >> 6
         off = bit & 63
         q = words[w] >> off
-        if off + width > 64:
+        if off + zs > 64:
             q |= words[w + 1] << (64 - off)
         i = (j - d) & self._cap_mask
-        return ((i << self._sym_bits) | (q & quot._mask)) * self._mult_inv & self._key_mask
+        return ((i << zs) | (q & self._root_key)) * self._mult_inv & self._key_mask
 
     def memory_bytes(self) -> int:
-        return (self._quot.allocated_bytes + self._marks.allocated_bytes +
+        return (sys.getsizeof(self._quot) + sys.getsizeof(self._marks) +
                 self._disp.memory_bytes())
 
 
@@ -533,19 +505,18 @@ class _DenseIdMixin:
 
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)
-        self._ids = IntVector(self._cap_bits, capacity)
+        self._ids = packed_words(self._cap_bits, capacity)
 
     def _claim_child(self, slot: int) -> int:
         # the new id's entry was never written, so it is still zero: the
         # write is an OR per word the entry spans
         nid = self.node_count - 1
-        ids = self._ids
-        width = ids.width
+        width = self._cap_bits
         bit = slot * width
         w = bit >> 6
         off = bit & 63
         v = nid << off
-        words = ids._words
+        words = self._ids
         words[w] |= v & _WORD
         if off + width > 64:
             words[w + 1] |= v >> 64
@@ -555,46 +526,45 @@ class _DenseIdMixin:
         j = self._find_slot(u, c)
         if j is None:
             return None
-        ids = self._ids  # IntVector.get, inlined
-        width = ids.width
+        ids = self._ids
+        width = self._cap_bits
         bit = j * width
         w = bit >> 6
         off = bit & 63
-        v = ids._words[w] >> off
+        v = ids[w] >> off
         if off + width > 64:
-            v |= ids._words[w + 1] << (64 - off)
-        return v & ids._mask
+            v |= ids[w + 1] << (64 - off)
+        return v & self._cap_mask
 
     def _node_at(self, j: int) -> int:
-        return self._ids.get(j)
+        ids = self._ids
+        width = self._cap_bits
+        bit = j * width
+        w = bit >> 6
+        off = bit & 63
+        v = ids[w] >> off
+        if off + width > 64:
+            v |= ids[w + 1] << (64 - off)
+        return v & self._cap_mask
 
     def _refill(self, new) -> None:
         """Rehash every key into new in slot order; ids stay, so no remap."""
         place = new._place
         slot_key = self._slot_key
-        old = self._ids  # IntVector.get, inlined, and the zero-entry OR
-        old_words = old._words
-        old_width = old.width
-        id_mask = old._mask
-        words = new._ids._words
-        width = new._ids.width
+        node_at = self._node_at
+        words = new._ids  # the zero-entry OR, inlined
+        width = new._cap_bits
         for j in self._used_slots():
-            bit = j * old_width
-            w = bit >> 6
-            off = bit & 63
-            nid = old_words[w] >> off
-            if off + old_width > 64:
-                nid |= old_words[w + 1] << (64 - off)
             bit = place(slot_key(j)) * width
             w = bit >> 6
             off = bit & 63
-            v = (nid & id_mask) << off
+            v = node_at(j) << off
             words[w] |= v & _WORD
             if off + width > 64:
                 words[w + 1] |= v >> 64
 
     def memory_bytes(self) -> int:
-        return super().memory_bytes() + self._ids.allocated_bytes
+        return super().memory_bytes() + sys.getsizeof(self._ids)
 
 
 class PlainFKTrie(_DenseIdMixin, PlainBonsaiTrie):

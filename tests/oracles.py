@@ -4,11 +4,21 @@ OracleDictionary mirrors the facade semantics with a plain dict.
 OracleTrie mirrors the backend contract with adjacency maps, tracking the
 correspondence between its own stable node handles and whatever ids the
 backend under test currently uses (which move when bonsai tables grow).
+packed_entry reads a node table's word arrays without the library's code.
 """
 
 from __future__ import annotations
 
 from array import array
+
+
+def packed_entry(words, width: int, i: int) -> int:
+    """Entry i of width-bit entries packed low bit first into 64-bit words:
+    bits [i * width, (i + 1) * width) of the two words around it, read as
+    one 128-bit integer."""
+    w, off = divmod(i * width, 64)
+    pair = words[w] | (words[w + 1] << 64 if w + 1 < len(words) else 0)
+    return pair >> off & (1 << width) - 1
 
 
 def parent_edges(backend) -> dict[int, tuple[int, int]]:

@@ -14,7 +14,7 @@ Three sha256 digests are pinned per combo:
   a change to hashing, probing, growth order or the label layout may
   re-pin it.
 * the storage digest also covers the node table's word arrays and the
-  displacement tiers. A change that means to alter the stored layout
+  displacement escape map. A change that means to alter the stored layout
   re-pins it and says so; any other change must leave it as it is.
 
 To print all three:
@@ -29,6 +29,7 @@ import pytest
 from conftest import ALL_COMBOS, random_words
 from dynpdt import Config, Dictionary
 from dynpdt.trie_repr import _SMALL_ESCAPE
+from oracles import packed_entry
 
 # a plain table and its compact twin put every node in the same slot, so
 # their digests agree; the records digest also agrees across label maps
@@ -96,8 +97,9 @@ def _counters(d):
 
 def _slots(d):
     b = d._backend
-    ids = b._ids.get if hasattr(b, "_ids") else (lambda j: j)
-    return [(j, b._slot_key(j), ids(j)) for j in b._used_slots()]
+    dense = hasattr(b, "_ids")
+    return [(j, b._slot_key(j), packed_entry(b._ids, b._cap_bits, j) if dense else j)
+            for j in b._used_slots()]
 
 
 def records_digest(d) -> str:
@@ -115,11 +117,11 @@ def storage_digest(d) -> str:
     # word arrays as int lists, so the digest does not depend on byte order
     for name in ("_table", "_quot", "_ids"):
         if hasattr(b, name):
-            fields.append((name, getattr(b, name)._words.tolist()))
+            fields.append((name, getattr(b, name).tolist()))
     if hasattr(b, "_disp"):
-        fields.append(b._marks._words.tolist())
+        fields.append(b._marks.tolist())
         fields.append([(j, b._disp.get(j)) for j in b._used_slots()
-                       if b._marks.get(j) == _SMALL_ESCAPE])
+                       if packed_entry(b._marks, 4, j) == _SMALL_ESCAPE])
     fields.append(d._nlm._groups)
     fields.append(sorted(d.items()))
     return _digest(fields)

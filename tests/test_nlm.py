@@ -14,7 +14,7 @@ from hypothesis.stateful import (
 
 from dynpdt import Dictionary
 from dynpdt.core import REPRS, Config, ContractViolation, CorruptionError, NO_VALUE
-from dynpdt.nlm import LabelMap, make_label_map, vbyte_encode
+from dynpdt.nlm import LabelMap, make_label_map, vbyte_decode, vbyte_encode
 
 ELLS = (1, 8, 16, 64)  # plm's one record per group, and three slm widths
 MAKERS = [lambda ell=ell: LabelMap(ell) for ell in ELLS]
@@ -22,6 +22,35 @@ MAKERS = [lambda ell=ell: LabelMap(ell) for ell in ELLS]
 # tables (pfkt, cfkt) hand them out contiguously, in order
 GAPPED = [40, 3, 17, 0, 63, 5, 9, 4]
 DENSE = list(range(12))
+
+
+def test_vbyte_frozen_encodings():
+    assert vbyte_encode(0) == b"\x00"
+    assert vbyte_encode(127) == b"\x7f"
+    assert vbyte_encode(128) == b"\x80\x01"
+    assert vbyte_encode(16383) == b"\xff\x7f"
+    assert vbyte_encode(16384) == b"\x80\x80\x01"
+
+
+def test_vbyte_round_trip():
+    for n in list(range(4096)) + [2**14, 2**21 - 1, 2**21, 2**32 - 1, 2**40]:
+        buf = vbyte_encode(n)
+        value, consumed = vbyte_decode(buf)
+        assert (value, consumed) == (n, len(buf))
+
+
+def test_vbyte_decode_at_offset():
+    buf = b"junk" + vbyte_encode(300) + b"tail"
+    value, consumed = vbyte_decode(buf, 4)
+    assert value == 300
+    assert buf[4 + consumed:] == b"tail"
+
+
+def test_vbyte_truncated_raises():
+    with pytest.raises(CorruptionError):
+        vbyte_decode(b"\x80")  # continuation bit with nothing after it
+    with pytest.raises(CorruptionError):
+        vbyte_decode(b"")
 
 
 def records(m):

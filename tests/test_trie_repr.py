@@ -1,4 +1,8 @@
 import random
+import sys
+import tracemalloc
+from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,20 +13,157 @@ from dynpdt.trie_repr import (
     _SMALL_ESCAPE,
     _VACANT,
     SpillTable,
+    _HashTrie,
+    golden_multipliers,
     make_backend,
+    packed_words,
 )
-from oracles import OracleTrie, parent_edges
+from oracles import OracleTrie, packed_entry, parent_edges
 
 
 def cfg(repr_, capacity=16, lam=4, **kw):
     return Config(trie_repr=repr_, offset_limit=lam, initial_capacity=capacity, **kw)
 
 
+def nibble(b, j):
+    """Slot j's 4-bit displacement entry, read by the reference reader."""
+    return packed_entry(b._marks, 4, j)
+
+
 def displacement(b, j):
     """Slot j's displacement read as stored: the nibble, or the map's entry
     when the nibble is the escape value."""
-    nib = b._marks.get(j)
+    nib = nibble(b, j)
     return nib if nib < _SMALL_ESCAPE else b._disp.get(j)
+
+
+def marked_slots(b):
+    """The slots whose mark entry is not all ones, by the reference reader."""
+    vacant = (1 << b._mark_bits) - 1
+    return [j for j in range(b.capacity) if packed_entry(b._marks, b._mark_bits, j) != vacant]
+
+
+# ---------------------------------------------------------------- homing
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 8, 13])
+def test_transform_is_a_permutation(bits):
+    mult, inv = golden_multipliers(bits)
+    domain = 1 << bits
+    mask = domain - 1
+    image = {x * mult & mask for x in range(domain)}
+    assert image == set(range(domain))
+    for x in range(domain):
+        assert (x * mult & mask) * inv & mask == x
+
+
+def test_transform_round_trip_wide():
+    mult, inv = golden_multipliers(48)
+    mask = (1 << 48) - 1
+    rng = random.Random(7)
+    for _ in range(10_000):
+        x = rng.getrandbits(48)
+        y = x * mult & mask
+        assert y * inv & mask == x
+
+
+def test_transform_fixes_zero():
+    # the multiplier is odd, so it is invertible, and x=0 survives it
+    for bits in (4, 16, 48):
+        mult, inv = golden_multipliers(bits)
+        assert mult & 1
+        assert mult * inv & ((1 << bits) - 1) == 1
+
+
+# ---------------------------------------------------------------- packed words
+
+
+def load(words, width, model):
+    """Write model's values into words: entry i takes bits
+    [i * width, (i + 1) * width) of the integer whose bits [64 w, 64 w + 64)
+    are word w. The bits past the last entry keep their fill."""
+    big = sum(word << 64 * w for w, word in enumerate(words))
+    mask = (1 << width) - 1
+    for i, v in enumerate(model):
+        assert 0 <= v <= mask
+        big = big & ~(mask << i * width) | v << i * width
+    for w in range(len(words)):
+        words[w] = big >> 64 * w & (1 << 64) - 1
+    return words
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 31, 32, 33, 63, 64])
+def test_packed_words_match_list_model(width):
+    rng = random.Random(width)
+    size = 257  # crosses several word boundaries at every width
+    top = (1 << width) - 1
+    for ones in (False, True):
+        model = [rng.choice([0, top, rng.randint(0, top)]) for _ in range(size)]
+        words = load(packed_words(width, size, ones), width, model)
+        assert [packed_entry(words, width, i) for i in range(size)] == model
+
+
+def test_packed_words_straddle_isolation():
+    # width 31 guarantees entries spanning two backing words; each read
+    # takes its own bits only, beside all-ones and all-zeros neighbours
+    for mid in (0, 0x55555555 & 0x7FFFFFFF):
+        model = [0, 0x7FFFFFFF, mid, 0x2AAAAAAA, 0x7FFFFFFF, 0, 0, 0, 0, 0]
+        words = load(packed_words(31, 10), 31, model)
+        assert [packed_entry(words, 31, i) for i in range(10)] == model
+
+
+@pytest.mark.parametrize("width", [1, 4, 13, 64])
+def test_packed_words_fill_ones(width):
+    # the fill is the vacancy mark of every hash table: 4-bit displacement
+    # nibbles and plain key tables of any width
+    words = packed_words(width, 150, ones=True)
+    ones = (1 << width) - 1
+    assert all(packed_entry(words, width, i) == ones for i in range(150))
+    load(words, width, [ones] * 70 + [0])
+    assert packed_entry(words, width, 70) == 0
+    assert packed_entry(words, width, 69) == packed_entry(words, width, 71) == ones
+
+
+@pytest.mark.parametrize("width", [1, 4, 13, 31, 32, 33, 64])
+@pytest.mark.parametrize("size", [1, 16, 63, 64, 65, 200])
+def test_used_slots_lists_the_entries_that_are_not_all_ones(width, size):
+    # the slot scan of every table, over marks of any width: entry values
+    # next to the all-ones one, runs of vacant words and a last entry that
+    # ends inside a word, for both fills
+    rng = random.Random(width * 1000 + size)
+    ones = (1 << width) - 1
+    for all_ones in (False, True):
+        fill = ones if all_ones else 0
+        model = [rng.choice([0, 1, ones - 1, 1 << (width - 1), ones])
+                 if rng.random() < 0.3 and not 64 <= i < 128 else fill
+                 for i in range(size)]
+        words = load(packed_words(width, size, all_ones), width, model)
+        want = [i for i in range(size) if model[i] != ones]
+        table = SimpleNamespace(_marks=words, _mark_bits=width, capacity=size)
+        assert list(_HashTrie._used_slots(table)) == want
+
+
+def test_packed_words_memory_scales():
+    small = sys.getsizeof(packed_words(8, 100))
+    big = sys.getsizeof(packed_words(8, 10_000))
+    assert 0 < small < big
+    # bit-packing: 8-bit entries should take roughly a byte each
+    assert big < 10_000 * 2
+
+
+@pytest.mark.parametrize("width", [1, 4, 15, 17, 32, 64])
+@pytest.mark.parametrize("ones", [False, True])
+def test_packed_words_allocate_once_at_exact_size(width, ones):
+    size = 1 << 17
+    nwords = (width * size + 63) >> 6
+    tracemalloc.start()
+    try:
+        words = packed_words(width, size, ones)
+        final, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sys.getsizeof(words) == sys.getsizeof(array("Q")) + 8 * nwords
+    assert peak <= final + 1024
 
 
 # ---------------------------------------------------------------- tables
@@ -134,14 +275,14 @@ def test_small_displacements_stay_in_the_nibble(repr_):
         d = (j - home) & b._cap_mask
         if d < _SMALL_ESCAPE:
             small += 1
-            assert b._marks.get(j) == d
+            assert nibble(b, j) == d
             assert j not in b._disp._keys
         else:
-            assert b._marks.get(j) == _SMALL_ESCAPE
+            assert nibble(b, j) == _SMALL_ESCAPE
             assert b._disp.get(j) == d
     assert small == _SMALL_ESCAPE  # one key at each of displacements 0-13
     assert len(b._disp) == 30 - small
-    assert all(b._marks.get(j) == _VACANT for j in range(b.capacity) if j not in used)
+    assert all(nibble(b, j) == _VACANT for j in range(b.capacity) if j not in used)
 
 
 @pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
@@ -187,7 +328,7 @@ def test_displacement_tiers_after_doublings(repr_):
     assert b.growth_events >= 8
     assert len(list(b._used_slots())) == b.node_count
     disp = b._disp
-    escaped = [j for j in range(b.capacity) if b._marks.get(j) == _SMALL_ESCAPE]
+    escaped = [j for j in range(b.capacity) if nibble(b, j) == _SMALL_ESCAPE]
     assert escaped
     assert disp._keys.tolist() == escaped
     assert all(disp.get(j) >= _SMALL_ESCAPE for j in escaped)
@@ -271,8 +412,7 @@ def test_growth_preserves_structure(repr_):
     assert b.growth_events >= 4
     assert len(remaps) == b.growth_events
     # the scan both refills and parent_keys read
-    marks = b._marks
-    used = [j for j in range(b.capacity) if marks.get(j) != marks._mask]
+    used = marked_slots(b)
     assert list(b._used_slots()) == used
     assert len(used) == b.node_count
     for remap, new_cap in remaps:
@@ -347,33 +487,33 @@ def test_parent_index_follows_every_change(repr_):
 
 
 def _check_words(b, oracle):
-    """Compare every word of b, read through IntVector.get and the
-    displacement reader alone, with the oracle's edges; returns the
+    """Compare every entry of b's word arrays, read by the reference reader
+    and the displacement reader alone, with the oracle's edges; returns the
     number of escaped displacements."""
-    marks = b._marks
-    used = [j for j in range(b.capacity) if marks.get(j) != marks._mask]
+    used = marked_slots(b)
     assert list(b._used_slots()) == used
     vacant = sorted(set(range(b.capacity)) - set(used))
+    zs, key_bits = b._sym_bits, b._cap_bits + b._sym_bits
     ids = getattr(b, "_ids", None)
     got = []
     for j in used:
         if hasattr(b, "_table"):
-            k = b._table.get(j)
+            k = packed_entry(b._table, key_bits, j)
         else:
             i = (j - displacement(b, j)) & b._cap_mask
-            k = ((i << b._sym_bits) | b._quot.get(j)) * b._mult_inv & b._key_mask
-        got.append((k, j if ids is None else ids.get(j)))
+            k = ((i << zs) | packed_entry(b._quot, zs, j)) * b._mult_inv & b._key_mask
+        got.append((k, j if ids is None else packed_entry(ids, b._cap_bits, j)))
     want = [(b._root_key, b.root_id)]
     want += [((oracle.bid[p] << b._sym_bits) | c, oracle.bid[h])
              for h, (p, c) in oracle.parent.items()]
     assert sorted(got) == sorted(want)
     if hasattr(b, "_table"):
-        assert all(b._table.get(j) == b._table._mask for j in vacant)
+        assert all(packed_entry(b._table, key_bits, j) == b._key_mask for j in vacant)
     else:
-        assert all(b._marks.get(j) == _VACANT for j in vacant)
-        assert all(b._quot.get(j) == 0 for j in vacant)
+        assert all(nibble(b, j) == _VACANT for j in vacant)
+        assert all(packed_entry(b._quot, zs, j) == 0 for j in vacant)
     if ids is not None:
-        assert all(ids.get(j) == 0 for j in vacant)
+        assert all(packed_entry(ids, b._cap_bits, j) == 0 for j in vacant)
     if not hasattr(b, "_disp"):
         return 0
     return len(b._disp)
@@ -381,7 +521,7 @@ def _check_words(b, oracle):
 
 @pytest.mark.parametrize("lam", [64, 4])
 @pytest.mark.parametrize("repr_", REPRS)
-def test_in_place_words_agree_with_intvector(repr_, lam):
+def test_in_place_words_agree_with_reference_reader(repr_, lam):
     # placement, key decoding, id claims, the refills and the slot scan
     # write and read the packed words in place. At lam 64 the quotients
     # are 15 bits and the keys 19-28 bits, so entries straddle words.
@@ -431,7 +571,7 @@ def test_dense_table_is_twin_plus_one_id_array(dense, twin):
         backends[r] = oracle.backend
     d, t = backends[dense], backends[twin]
     assert d.capacity == t.capacity == 1024
-    assert d.memory_bytes() == t.memory_bytes() + d._ids.allocated_bytes
+    assert d.memory_bytes() == t.memory_bytes() + sys.getsizeof(d._ids)
 
 
 def test_fk_ids_survive_growth():
@@ -522,7 +662,7 @@ def test_plain_and_compact_twins_place_alike(corpus):
         assert p.capacity == c.capacity
         assert list(p._used_slots()) == list(c._used_slots())
     assert list(d["pbt"]._nlm.iter_items()) == list(d["cbt"]._nlm.iter_items())
-    assert d["pfkt"]._backend._ids._words == d["cfkt"]._backend._ids._words
+    assert d["pfkt"]._backend._ids == d["cfkt"]._backend._ids
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
@@ -545,6 +685,23 @@ def test_pbt_memory_is_bit_packed():
     # 12 slot bits + 11 symbol bits per entry, plus small allocator overhead
     payload = (1 << 12) * 23 // 8
     assert payload <= b.memory_bytes() <= payload * 1.1 + 100
+
+
+@pytest.mark.parametrize("repr_", REPRS)
+def test_memory_bytes_counts_every_word_array(repr_):
+    # after several doublings, memory_bytes() is the size of every distinct
+    # word array the table holds (pbt's key array is also its marks) plus
+    # its escape map, so no array can be left out of the count
+    b = make_backend(cfg(repr_))
+    oracle = OracleTrie(b)
+    grow_to(oracle, [oracle.root], random.Random(2), 600)
+    assert b.growth_events >= 5
+    arrays = {id(v): v for v in vars(b).values() if isinstance(v, array)}
+    assert len(arrays) == {"pbt": 1, "cbt": 2, "pfkt": 2, "cfkt": 3}[repr_]
+    want = sum(sys.getsizeof(v) for v in arrays.values())
+    if hasattr(b, "_disp"):
+        want += b._disp.memory_bytes()
+    assert b.memory_bytes() == want
 
 
 def test_compact_beats_plain_at_scale():
