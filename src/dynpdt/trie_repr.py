@@ -48,6 +48,14 @@ all ones. Slots are never freed, so the quotient or id entry of a slot not
 yet placed is still zero and the value goes in with an OR. Only an escaped
 displacement goes through the map.
 
+An insert scans each new node's cluster once. A search that fails records
+the packed key it looked for and the vacant slot where it stopped, and
+placing that key starts its scan there instead of at the home slot. That
+is exact because slots are never freed: every slot from the home slot to
+the recorded one stays occupied, and a placement that took the recorded
+slot in the meantime only moves the scan on. A doubling starts a fresh
+record with the fresh storage.
+
 Parent links serve only enumeration: ``parent_keys`` reads every node's
 packed key, indexed by node id, in one pass over the used slots.
 """
@@ -158,10 +166,12 @@ class _HashTrie:
     empty table and points ``_marks`` at the word array whose all-ones
     entries, ``_mark_bits`` wide, mark its vacant slots, ``_place(k)``
     stores packed key k and returns its slot, ``_find_slot(u, c)`` returns
-    the slot holding edge (u, c) or None and underlies ``getchild``,
-    ``_slot_key(j)`` decodes the key stored at slot j, and ``_node_at(j)``
-    names the node at slot j. growth_ns sums the wall time of the
-    doublings done so far.
+    the slot holding edge (u, c) or None and underlies ``getchild``; a
+    None records the key in ``_miss_key`` and the vacant slot where the
+    scan stopped in ``_miss_slot``, and ``_place`` of that key starts
+    there. ``_slot_key(j)`` decodes the key stored at slot j, and
+    ``_node_at(j)`` names the node at slot j. growth_ns sums the wall time
+    of the doublings done so far.
     """
 
     def __init__(self, config: Config, on_grow=None) -> None:
@@ -186,6 +196,10 @@ class _HashTrie:
         key_bits = cap_bits + self._sym_bits
         self._key_mask = (1 << key_bits) - 1
         self._mult, self._mult_inv = golden_multipliers(key_bits)
+        # the packed key of the last failed search and the vacant slot it
+        # stopped at; -1 is no key, so a fresh table has no record
+        self._miss_key = -1
+        self._miss_slot = 0
 
     def _claim_child(self, slot: int) -> int:
         return slot
@@ -308,12 +322,18 @@ class _HashTrie:
         remap = array("q", [-1]) * self.capacity
         remap[self.root_id] = new.root_id
         moved = 0
+        # every climbed node is placed once, so a parent chain that loops
+        # shows as a climb past the node count
+        climb = self.node_count - 1
         for i in self._used_slots():
             if remap[i] >= 0:
                 continue
             path = []
             u = i
             while remap[u] < 0:
+                climb -= 1
+                if climb < 0:
+                    raise CorruptionError(f"parent chain from slot {i} does not reach the root")
                 k = slot_key(u)
                 path.append((u, k & sym_mask))
                 u = k >> zs
@@ -340,10 +360,11 @@ class PlainBonsaiTrie(_HashTrie):
 
     def _place(self, k: int) -> int:
         # the entry reads are inlined; k goes into the all-ones vacant
-        # entry with one XOR per word it spans
+        # entry with one XOR per word it spans. A failed search for k
+        # already scanned its cluster: start where it stopped
         zs = self._sym_bits
         mask = self._cap_mask
-        j = (k * self._mult >> zs) & mask
+        j = self._miss_slot if k == self._miss_key else (k * self._mult >> zs) & mask
         words = self._table
         width = self._cap_bits + zs
         vacant = self._key_mask
@@ -383,6 +404,8 @@ class PlainBonsaiTrie(_HashTrie):
             if h == k:
                 return j
             if h == vacant:
+                self._miss_key = k
+                self._miss_slot = j
                 return None
             j = (j + 1) & mask
 
@@ -417,13 +440,15 @@ class CompactBonsaiTrie(_HashTrie):
     def _place(self, k: int) -> int:
         # the nibble reads are inlined; the quotient goes into its zero
         # entry with an OR, the displacement, or the escape value
-        # for one the map holds, into its all-ones nibble with an XOR
+        # for one the map holds, into its all-ones nibble with an XOR. The
+        # scan starts where a failed search for k stopped; the displacement
+        # is still taken from the home slot i
         hv = k * self._mult
         zs = self._sym_bits
         mask = self._cap_mask
         i = (hv >> zs) & mask
         nibbles = self._marks
-        j = i
+        j = self._miss_slot if k == self._miss_key else i
         while (nibbles[j >> 4] >> ((j & 15) << 2)) & 15 != _VACANT:
             j = (j + 1) & mask
         bit = j * zs
@@ -470,6 +495,8 @@ class CompactBonsaiTrie(_HashTrie):
                     return j
             j = (j + 1) & mask
             d += 1
+        self._miss_key = (u << zs) | c
+        self._miss_slot = j
         return None
 
     getchild = _find_slot

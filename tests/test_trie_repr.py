@@ -3,6 +3,7 @@ import sys
 from array import array
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import dna_kmers, random_words, synthetic_urls
 from dynpdt import Dictionary
@@ -37,6 +38,27 @@ def marked_slots(b):
     """The slots whose mark entry is not all ones, by the reference reader."""
     vacant = (1 << b._mark_bits) - 1
     return [j for j in range(b.capacity) if packed_entry(b._marks, b._mark_bits, j) != vacant]
+
+
+def home_slot(b, k):
+    """The slot where packed key k's scan starts."""
+    return (k * b._mult >> b._sym_bits) & b._cap_mask
+
+
+def write_entry(words, width, i, value):
+    """Set entry i of width-bit entries packed low bit first, bit by bit."""
+    for n in range(width):
+        w, off = divmod(i * width + n, 64)
+        words[w] = words[w] & ~(1 << off) | (value >> n & 1) << off
+
+
+def table_state(b):
+    """Capacity, node count, every word array (the key or quotient and mark
+    words, and the dense ids) and the escape map, as plain values."""
+    state = {name: v.tolist() for name, v in vars(b).items() if isinstance(v, array)}
+    if hasattr(b, "_disp"):
+        state["_disp"] = (b._disp._keys.tolist(), bytes(b._disp._vals), b._disp._wide.tolist())
+    return b.capacity, b.node_count, state
 
 
 # ---------------------------------------------------------------- homing
@@ -354,6 +376,46 @@ def test_relocation_never_probes(repr_, monkeypatch):
     oracle.check_all()
 
 
+def store_key(b, j, k):
+    """Overwrite the key stored at used slot j with k, word by word; on a
+    compact table k must home within 14 slots below j."""
+    if hasattr(b, "_table"):
+        write_entry(b._table, b._cap_bits + b._sym_bits, j, k)
+        return
+    d = (j - home_slot(b, k)) & b._cap_mask
+    assert d < _SMALL_ESCAPE
+    write_entry(b._quot, b._sym_bits, j, k * b._mult & b._root_key)
+    write_entry(b._marks, 4, j, d)
+
+
+@pytest.mark.parametrize("repr_", ["pbt", "cbt"])
+def test_looping_parent_chain_fails_the_doubling(repr_):
+    # two nodes whose stored keys name each other as parent: the relocation
+    # climb from either never reaches a moved node, so the doubling must
+    # raise rather than spin, and leave every word as it was
+    b = make_backend(cfg(repr_))
+    u = b.addchild(b.root_id, 1)
+    v = b.addchild(b.root_id, 2)
+    zs = b._sym_bits
+
+    def homed_near(j, parent):
+        # a code whose key under parent homes within 14 slots below j
+        for c in range(b._root_key):
+            k = (parent << zs) | c
+            if (j - home_slot(b, k)) & b._cap_mask < _SMALL_ESCAPE:
+                return k
+        raise AssertionError("no code homes near the slot")
+
+    store_key(b, u, homed_near(u, v))
+    store_key(b, v, homed_near(v, u))
+    assert b._slot_key(u) >> zs == v and b._slot_key(v) >> zs == u
+    before = table_state(b)
+    with pytest.raises(CorruptionError):
+        b.reserve(b.root_id, b.capacity)
+    assert table_state(b) == before
+    assert b.growth_events == 0
+
+
 @pytest.mark.parametrize("repr_", REPRS)
 def test_load_never_exceeds_cap(repr_):
     b = make_backend(cfg(repr_))
@@ -539,6 +601,190 @@ def test_backend_differential(repr_):
             oracle.check_parent(handles[rng.randrange(1, len(handles))])
     oracle.check_all()
     assert b.growth_events >= 6
+
+
+# ---------------------------------------------------------------- recorded slot
+# a failed search records its packed key and the vacant slot it stopped at,
+# and placing that key starts there: the layout must not notice
+
+
+def first_vacant(b, j):
+    """The first slot from j on whose mark entry is all ones."""
+    vacant = (1 << b._mark_bits) - 1
+    while packed_entry(b._marks, b._mark_bits, j) != vacant:
+        j = (j + 1) & b._cap_mask
+    return j
+
+
+@pytest.mark.parametrize("repr_", REPRS)
+def test_recorded_slot_is_where_addchild_places(repr_):
+    # eight edges homed at one slot; a reference table takes the same
+    # addchild calls and no search
+    b = make_backend(cfg(repr_, capacity=1024))
+    ref = make_backend(cfg(repr_, capacity=1024))
+    home = 700
+    edges = shared_home_edges(b, home, 8)
+    keys = [(u << b._sym_bits) | c for u, c in edges]
+    for t in (b, ref):
+        for e in edges[:5]:
+            t.addchild(*e)
+    # the search for the sixth scans past the five to the next vacant slot,
+    # and addchild puts the edge there
+    stop = first_vacant(b, home)
+    assert stop != home
+    assert b.getchild(*edges[5]) is None
+    assert (b._miss_key, b._miss_slot) == (keys[5], stop)
+    nid = b.addchild(*edges[5])
+    assert b._find_slot(*edges[5]) == stop
+    assert nid == (stop if repr_ in ("pbt", "cbt") else b._node_at(stop))
+    ref.addchild(*edges[5])
+    # a placement with no search of its own takes the slot the search for
+    # the seventh recorded, so the seventh's scan moves on to the next
+    assert b.getchild(*edges[6]) is None
+    taken = b._miss_slot
+    assert taken == first_vacant(b, home)
+    for t in (b, ref):
+        t.addchild(*edges[7])
+    assert b._find_slot(*edges[7]) == taken
+    assert (b._miss_key, b._miss_slot) == (keys[6], taken)
+    moved_on = first_vacant(b, taken)
+    assert moved_on != taken
+    for t in (b, ref):
+        t.addchild(*edges[6])
+    assert b._find_slot(*edges[6]) == moved_on
+    assert table_state(b) == table_state(ref)
+
+
+@pytest.mark.parametrize("repr_", REPRS)
+def test_recorded_slot_dropped_by_a_doubling_before_addchild(repr_):
+    # at offset limit 4 a key that branches 15 bytes into a label owes three
+    # step hops: its walk fails the search for the first step edge, then
+    # insert's reserve doubles the table before that edge is added. The
+    # reference dictionary forgets every search, so it places from the
+    # home slot each time
+    def forgetful(t):
+        find = t.getchild
+
+        def getchild(u, c):
+            v = find(u, c)
+            t._miss_key = -1
+            return v
+        t.getchild = getchild
+
+    d = Dictionary(cfg(repr_))
+    ref = Dictionary(cfg(repr_))
+    forgetful(ref._backend)
+    b = d._backend
+    keys = []
+    for i in range(1000):
+        stem = b"q%03dabcdefghijklmnop" % i
+        twin = stem[:-1] + b"!"
+        for t in (d, ref):
+            t.insert(stem, len(keys))
+        keys.append(stem)
+        u, held, hops, c, pos = d._walk(twin + b"\0")
+        assert held is None and hops >= 3
+        if 10 * (b.node_count + hops + 1) > 9 * b.capacity:
+            break
+    assert b._miss_key == (u << b._sym_bits) | cfg(repr_).step_code
+    events = b.growth_events
+    for t in (d, ref):
+        t.insert(twin, len(keys))
+    keys.append(twin)
+    assert b.growth_events == events + 1
+    assert [d.lookup(k) for k in keys] == list(range(len(keys)))
+    assert table_state(b) == table_state(ref._backend)
+    assert sorted(d.items()) == sorted(ref.items())
+
+
+ADD, SEARCH, SEARCH_ADD, ADD_SEARCHED, CLASH, GROW = range(6)
+# (kind, parent pick, code pick). ADD places a new edge with no search.
+# SEARCH fails a search for a new edge and keeps the edge; ADD_SEARCHED adds
+# the last one kept, after whatever placements and doublings came between,
+# and the rest are never added. SEARCH_ADD adds the searched edge at once.
+# CLASH places, with no search, a new edge whose scan from its home reaches
+# the slot the last failed search recorded, so it takes that slot. GROW
+# doubles the table, up to 4,096 slots. There is no shrink phase: a
+# failing sequence is reported as drawn, so a probe-order slip fails in
+# seconds
+RECORDED_SLOT_OPS = st.lists(
+    st.tuples(st.sampled_from([ADD, SEARCH, SEARCH_ADD, ADD_SEARCHED, CLASH] * 2 + [GROW]),
+              st.integers(0, 255), st.integers(0, 1023)),
+    min_size=100, max_size=250)
+
+
+@pytest.mark.parametrize("lam", [4, 64])
+@pytest.mark.parametrize("repr_", REPRS)
+@settings(derandomize=True, max_examples=25, deadline=None, phases=[Phase.generate])
+@given(ops=RECORDED_SLOT_OPS)
+def test_recorded_slot_differential(repr_, lam, ops):
+    # the same addchild and reserve calls, with failed searches between
+    # them on one table only, must leave both tables storing the same words
+    nodes = []  # current ids by creation index, the same in both tables
+
+    def follow(remap, new_cap):
+        if remap is not None:
+            nodes[:] = [remap[u] for u in nodes]
+
+    b = make_backend(cfg(repr_, lam=lam), on_grow=follow)
+    ref = make_backend(cfg(repr_, lam=lam))
+    nodes.append(b.root_id)
+    zs = b._sym_bits
+    codes = cfg(repr_, lam=lam).step_code + 1  # edge codes, the step code last
+    edges = set()  # (parent index, code) of every added edge
+    kept = []  # searched edges not added yet
+
+    def fresh(p, code):
+        return (p, code) not in edges and (p, code) not in kept
+
+    def add(p, code):
+        u = nodes[p]  # before b's doubling renumbers it
+        nid = b.addchild(u, code)
+        assert ref.addchild(u, code) == nid
+        edges.add((p, code))
+        nodes.append(nid)
+
+    for kind, pick, code in ops:
+        p = pick % len(nodes)
+        if kind == GROW:
+            if b.capacity < 4096:
+                before = b.capacity
+                assert b.reserve(b.root_id, b.capacity - b.node_count) == nodes[0]
+                ref.reserve(ref.root_id, ref.capacity - ref.node_count)
+                assert b.capacity == 2 * before and b._miss_key == -1
+        elif kind == ADD_SEARCHED:
+            if kept:
+                add(*kept.pop())
+        elif kind == CLASH:
+            stop = b._miss_slot
+            if b._miss_key < 0 or first_vacant(b, stop) != stop:
+                continue
+            home = home_slot(b, b._miss_key)
+            reach = (stop - home) & b._cap_mask
+            for c in range(codes):
+                if not fresh(p, c):
+                    continue
+                if (home_slot(b, (nodes[p] << zs) | c) - home) & b._cap_mask <= reach:
+                    events = b.growth_events
+                    add(p, c)
+                    if b.growth_events == events:
+                        assert b._find_slot(nodes[p], c) == stop
+                    break
+        else:
+            code %= codes
+            while not fresh(p, code):
+                code = (code + 1) % codes
+            if kind != ADD:
+                k = (nodes[p] << zs) | code
+                assert b.getchild(nodes[p], code) is None
+                assert (b._miss_key, b._miss_slot) == (k, first_vacant(b, home_slot(b, k)))
+            if kind == SEARCH:
+                kept.append((p, code))
+            else:
+                add(p, code)
+    assert table_state(b) == table_state(ref)
+    for p, c in edges:
+        assert b.getchild(nodes[p], c) is not None
 
 
 # ---------------------------------------------------------------- placement
