@@ -27,13 +27,15 @@ placing the slots each climb recorded under their parents' new slots, and
 hand ``on_grow`` the old-to-new id map so label storage can follow: one
 flat ``array("q")`` indexed by old slot, -1 at vacant slots, so a doubling
 holds no Python object per node. Dense ids stay, so the dense-id layouts
-rehash every key and pass None.
+rehash every key and pass None. ``on_grow`` runs before the new storage
+replaces the old, so a doubling that raises leaves the table as it was.
 
 Every node table marks a vacant slot with an all-ones entry: in the key
 array of the plain layouts, in the 4-bit displacement array of the compact
 ones. There nibble 15 is vacant, 0-13 are the displacement itself and 14
 escapes: the displacement is then held in one small map from slot id to
-displacement, SpillTable, searched by bisection.
+displacement, SpillTable, written before any word of the placement and
+searched by bisection.
 
 Every table is built of ``array("Q")`` words holding fixed-width entries
 packed low bit first: entry i spans bits [i * width, (i + 1) * width) and
@@ -106,57 +108,57 @@ def packed_words(width: int, size: int, ones: bool = False) -> array:
 class SpillTable:
     """Map from slot ids to the rare escaped displacements.
 
-    Two parallel sequences kept in slot order, the ids and one byte per
-    value, so a lookup is one binary search and an insert shifts the tail
-    of both. A value of 255 or more stores the byte 255 and goes whole into
-    a third array, at the rank of that byte among the 255s: such values
-    come only from long clusters near full load, too few to widen every
-    value for.
+    One array of ``slot << 8 | byte`` entries in slot order: a lookup is
+    one binary search, an insert one ``array.insert``. A value of 255 or
+    more (long clusters near full load) stores the byte 255 and goes whole
+    into a dict keyed by slot, written first and dropped if the array
+    raises. Entries are 32-bit up to 2**24 slots and 64-bit past that, a
+    size only tables of over ~15 million nodes reach (0.9 * 2**24).
     """
 
-    __slots__ = ("_keys", "_vals", "_wide")
+    __slots__ = ("_entries", "_wide")
 
     def __init__(self, key_bits: int) -> None:
-        code = "I" if key_bits <= 32 else "Q"
-        self._keys = array(code)
-        self._vals = bytearray()
-        self._wide = array(code)
+        self._entries = array("I" if key_bits + 8 <= 32 else "Q")
+        self._wide = {}
 
     def insert(self, key: int, value: int) -> None:
-        keys = self._keys
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
+        entries = self._entries
+        i = bisect_left(entries, key << 8)
+        if i < len(entries) and entries[i] >> 8 == key:
             raise ContractViolation("key already present")
         if value >= 255:
-            self._wide.insert(self._vals.count(255, 0, i), value)
-            value = 255
-        keys.insert(i, key)
-        self._vals.insert(i, value)
+            self._wide[key] = value
+        try:
+            entries.insert(i, key << 8 | min(value, 255))
+        except BaseException:
+            self._wide.pop(key, None)
+            raise
 
     def get(self, key: int) -> int:
-        keys = self._keys
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            v = self._vals[i]
-            return v if v < 255 else self._wide[self._vals.count(255, 0, i)]
+        entries = self._entries
+        i = bisect_left(entries, key << 8)
+        if i < len(entries) and entries[i] >> 8 == key:
+            v = entries[i] & 255
+            return v if v < 255 else self._wide[key]
         raise CorruptionError(f"slot {key} escaped with no overflow entry")
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._entries)
 
     # the sizes m-Bonsai's mid and spill tiers would have; the benchmark
     # trace still reports them
     @property
     def mid_count(self) -> int:
-        return sum(1 for v in self._vals if v < _MID_LIMIT)
+        return sum(1 for e in self._entries if e & 255 < _MID_LIMIT)
 
     @property
     def spill_count(self) -> int:
-        return sum(1 for v in self._vals if v >= _MID_LIMIT)
+        return sum(1 for e in self._entries if e & 255 >= _MID_LIMIT)
 
     def memory_bytes(self) -> int:
-        return (sys.getsizeof(self._keys) + sys.getsizeof(self._vals) +
-                sys.getsizeof(self._wide))
+        return (sys.getsizeof(self._entries) + sys.getsizeof(self._wide) +
+                sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in self._wide.items()))
 
 
 class _HashTrie:
@@ -296,11 +298,13 @@ class _HashTrie:
         new._root_key = self._root_key
         new._init_storage(capacity)
         remap = self._refill(new)
+        # the labels move before the table commits, so a doubling that
+        # raises anywhere leaves both as they were
+        if self.on_grow is not None:
+            self.on_grow(remap, capacity)
         for name, value in vars(new).items():
             setattr(self, name, value)
         self.growth_events += 1
-        if self.on_grow is not None:
-            self.on_grow(remap, capacity)
         self.growth_ns += perf_counter_ns() - t0
         return remap
 
@@ -321,9 +325,8 @@ class _HashTrie:
         new.root_id = place(self._root_key)
         remap = array("q", [-1]) * self.capacity
         remap[self.root_id] = new.root_id
-        moved = 0
-        # every climbed node is placed once, so a parent chain that loops
-        # shows as a climb past the node count
+        # each climbed node is placed once: a looping parent chain climbs
+        # past the node count, and a node never climbed leaves climb above 0
         climb = self.node_count - 1
         for i in self._used_slots():
             if remap[i] >= 0:
@@ -341,8 +344,7 @@ class _HashTrie:
             while path:
                 j, c = path.pop()
                 nu = remap[j] = place((nu << zs) | c)
-                moved += 1
-        if moved != self.node_count - 1:
+        if climb != 0:
             raise CorruptionError("relocation did not visit every node exactly once")
         return remap
 
@@ -438,11 +440,11 @@ class CompactBonsaiTrie(_HashTrie):
         self._disp = SpillTable(self._cap_bits)
 
     def _place(self, k: int) -> int:
-        # the nibble reads are inlined; the quotient goes into its zero
-        # entry with an OR, the displacement, or the escape value
-        # for one the map holds, into its all-ones nibble with an XOR. The
-        # scan starts where a failed search for k stopped; the displacement
-        # is still taken from the home slot i
+        # the nibble reads are inlined. An escaped displacement goes into
+        # the map first, so a store that raises changes no word; then the
+        # quotient goes into its zero entry with an OR and the displacement,
+        # or the escape value, into its all-ones nibble with an XOR. The scan
+        # starts where a failed search for k stopped; d is from home slot i
         hv = k * self._mult
         zs = self._sym_bits
         mask = self._cap_mask
@@ -451,6 +453,10 @@ class CompactBonsaiTrie(_HashTrie):
         j = self._miss_slot if k == self._miss_key else i
         while (nibbles[j >> 4] >> ((j & 15) << 2)) & 15 != _VACANT:
             j = (j + 1) & mask
+        d = (j - i) & mask
+        if d >= _SMALL_ESCAPE:
+            self._disp.insert(j, d)
+            d = _SMALL_ESCAPE
         bit = j * zs
         w = bit >> 6
         off = bit & 63
@@ -459,10 +465,6 @@ class CompactBonsaiTrie(_HashTrie):
         qwords[w] |= q & _WORD
         if off + zs > 64:
             qwords[w + 1] |= q >> 64
-        d = (j - i) & mask
-        if d >= _SMALL_ESCAPE:
-            self._disp.insert(j, d)
-            d = _SMALL_ESCAPE
         nibbles[j >> 4] ^= (_VACANT ^ d) << ((j & 15) << 2)
         return j
 

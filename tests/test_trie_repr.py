@@ -7,7 +7,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import dna_kmers, random_words, synthetic_urls
 from dynpdt import Dictionary
-from dynpdt.core import REPRS, Config, ContractViolation, CorruptionError, ResourceExhausted
+from dynpdt.core import LABEL_MAPS, REPRS, Config, ContractViolation, CorruptionError, ResourceExhausted
 from dynpdt.trie_repr import (
     _SMALL_ESCAPE,
     _VACANT,
@@ -16,6 +16,7 @@ from dynpdt.trie_repr import (
     make_backend,
 )
 from oracles import OracleTrie, packed_entry, parent_edges
+from test_layout import placement_digest, records_digest, storage_digest
 
 
 def cfg(repr_, capacity=16, lam=4, **kw):
@@ -57,7 +58,7 @@ def table_state(b):
     words, and the dense ids) and the escape map, as plain values."""
     state = {name: v.tolist() for name, v in vars(b).items() if isinstance(v, array)}
     if hasattr(b, "_disp"):
-        state["_disp"] = (b._disp._keys.tolist(), bytes(b._disp._vals), b._disp._wide.tolist())
+        state["_disp"] = (b._disp._entries.tolist(), dict(b._disp._wide))
     return b.capacity, b.node_count, state
 
 
@@ -114,7 +115,7 @@ def test_spill_table_differential():
             else:
                 with pytest.raises(CorruptionError):
                     st.get(probe)
-    assert len(st) == len(st._vals) == 900
+    assert len(st) == len(st._entries) == 900
     assert len(st._wide) == 0
     for key in keys[:900]:
         assert st.get(key) == model[key]
@@ -130,7 +131,7 @@ def test_spill_table_roundtrip_and_duplicate():
     for key in (0, 1, 9999, 65535, 12345, 254, 255):
         assert st.get(key) == key % 1000
     # values of 255 and up are kept whole, in slot order
-    assert st._wide.tolist() == [255, 999, 345, 535]
+    assert st._wide == {255: 255, 9999: 999, 12345: 345, 65535: 535}
     # every caller reads the map only for a slot whose nibble escaped
     with pytest.raises(CorruptionError):
         st.get(7)
@@ -139,7 +140,7 @@ def test_spill_table_roundtrip_and_duplicate():
 
 
 def _spill_state(st):
-    return (st._keys.tolist(), bytes(st._vals), st._wide.tolist(), st.memory_bytes())
+    return (st._entries.tolist(), dict(st._wide), st.memory_bytes())
 
 
 def test_spill_table_refused_duplicate_changes_nothing():
@@ -153,7 +154,7 @@ def test_spill_table_refused_duplicate_changes_nothing():
         assert _spill_state(st) == before
     st.insert(575, 256)
     st.insert(5, 300)
-    assert st._wide.tolist() == [300, 256]
+    assert st._wide == {5: 300, 575: 256}
     assert all(st.get(key) == key % 255 for key in range(0, 570, 10))
     for key, value in ((575, 1), (5, 1000)):  # and refusals after wide values
         before = _spill_state(st)
@@ -203,7 +204,7 @@ def test_small_displacements_stay_in_the_nibble(repr_):
         if d < _SMALL_ESCAPE:
             small += 1
             assert nibble(b, j) == d
-            assert j not in b._disp._keys
+            assert j not in [e >> 8 for e in b._disp._entries]
         else:
             assert nibble(b, j) == _SMALL_ESCAPE
             assert b._disp.get(j) == d
@@ -223,7 +224,7 @@ def test_probe_through_displacement_tiers(repr_):
     ids = {e: b.addchild(*e) for e in present}
     assert b.growth_events == 0
     disp = b._disp
-    assert len(disp._wide) > 0 and max(disp._wide) > 255
+    assert len(disp._wide) > 0 and max(disp._wide.values()) > 255
     assert disp.mid_count > 0 and disp.spill_count > 0
     for e, nid in ids.items():
         assert b.getchild(*e) == nid
@@ -257,7 +258,7 @@ def test_displacement_tiers_after_doublings(repr_):
     disp = b._disp
     escaped = [j for j in range(b.capacity) if nibble(b, j) == _SMALL_ESCAPE]
     assert escaped
-    assert disp._keys.tolist() == escaped
+    assert [e >> 8 for e in disp._entries] == escaped
     assert all(disp.get(j) >= _SMALL_ESCAPE for j in escaped)
 
 
@@ -580,6 +581,120 @@ def test_growth_capacity_ceiling(repr_, monkeypatch):
         for code, nid in children.items():
             assert b.getchild(b.root_id, code) == nid
             assert edges[nid] == (b.root_id, code)
+
+
+# ---------------------------------------------------------------- faults
+
+
+def dictionary_state(d):
+    """The three pinned layout digests of tests/test_layout.py and the items."""
+    return records_digest(d), placement_digest(d), storage_digest(d), sorted(d.items())
+
+
+@pytest.mark.parametrize("repr_,nlm", [(r, m) for r in ("pbt", "cbt") for m in LABEL_MAPS])
+def test_fault_in_label_remap_leaves_the_doubling_undone(repr_, nlm):
+    # the label move of a doubling raises: the table keeps its old size,
+    # every node and record stays where it was, and the insert then succeeds
+    d = Dictionary(Config(trie_repr=repr_, label_map=nlm, initial_capacity=16))
+    keys = random_words(20, seed=8)
+    n = 0
+    while 10 * (d._backend.node_count + 1) <= 9 * d.capacity:
+        d.insert(keys[n], n)
+        n += 1
+    assert (n, d.capacity, d.growth_events) == (14, 16, 0)
+    before = dictionary_state(d)
+
+    def failing_remap(old_to_new, new_capacity):
+        raise MemoryError
+
+    d._nlm.remap = failing_remap  # looked up on each doubling
+    with pytest.raises(MemoryError):
+        d.insert(keys[n], n)
+    assert dictionary_state(d) == before
+    assert all(d.lookup(k) == i for i, k in enumerate(keys[:n]))
+    del d._nlm.remap
+    assert d.insert(keys[n], n)
+    assert (d.capacity, d.growth_events) == (32, 1)
+    assert all(d.lookup(k) == i for i, k in enumerate(keys[:n + 1]))
+
+
+@pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
+def test_fault_in_spill_insert_leaves_the_table_unchanged(repr_, monkeypatch):
+    # the first placement whose displacement escapes fails to store it: no
+    # quotient or nibble may be left behind, so a later key placed in that
+    # slot and every doubling after it read back right
+    config = Config(trie_repr=repr_, label_map="slm", initial_capacity=4096)
+    keys = random_words(9000, seed=26)
+    probe = Dictionary(config)
+    n = 0
+    while not len(probe._backend._disp):
+        probe.insert(keys[n], n)
+        n += 1
+    n -= 1  # keys[n] made the first escape
+    d = Dictionary(config)
+    for i, k in enumerate(keys[:n]):
+        d.insert(k, i)
+    # the escape comes from the key's own placement, not from a doubling
+    assert 10 * (d._backend.node_count + 1) <= 9 * d.capacity
+    before = dictionary_state(d)
+    insert = SpillTable.insert
+    calls = []
+
+    def failing_once(self, key, value):
+        calls.append(key)
+        if len(calls) == 1:
+            raise MemoryError
+        insert(self, key, value)
+
+    monkeypatch.setattr(SpillTable, "insert", failing_once)  # it has __slots__
+    with pytest.raises(MemoryError):
+        d.insert(keys[n], n)
+    assert dictionary_state(d) == before
+    assert d.insert(keys[n], n)
+    assert len(d._backend._disp) == 1
+    for i, k in enumerate(keys[n + 1:], n + 1):
+        d.insert(k, i)
+    assert d.growth_events >= 2
+    assert all(d.lookup(k) == i for i, k in enumerate(keys))
+
+
+class _FailingInsertOnce(array):
+    """An array whose first insert raises MemoryError."""
+
+    armed = True
+
+    def insert(self, i, x):
+        if self.armed:
+            self.armed = False
+            raise MemoryError
+        super().insert(i, x)
+
+
+@pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
+@pytest.mark.parametrize("n", [20, 300])
+def test_fault_in_spill_array_insert_leaves_the_map_unchanged(repr_, n):
+    # n keys share one home, so the next one escapes with a displacement of
+    # n or more: a byte below 255, or 255 with the value in the dict. The
+    # array insert raises; the map answers every old slot, holds no entry
+    # or value for the new one, and the placement then succeeds
+    b = make_backend(cfg(repr_, capacity=1024))
+    edges = shared_home_edges(b, 700, n + 1)
+    ids = {e: b.addchild(*e) for e in edges[:n]}
+    disp = b._disp
+    escaped = {j: disp.get(j) for j in b._used_slots() if nibble(b, j) == _SMALL_ESCAPE}
+    disp._entries = _FailingInsertOnce(disp._entries.typecode, disp._entries)
+    before = table_state(b), disp.memory_bytes()
+    with pytest.raises(MemoryError):
+        b.addchild(*edges[n])
+    assert (table_state(b), disp.memory_bytes()) == before
+    assert all(disp.get(j) == v for j, v in escaped.items())
+    assert all(b.getchild(*e) == nid for e, nid in ids.items())
+    assert b.getchild(*edges[n]) is None
+    ids[edges[n]] = b.addchild(*edges[n])
+    j = b._find_slot(*edges[n])
+    d = (j - 700) & b._cap_mask
+    assert d >= n and disp.get(j) == d and (d >= 255) == (j in disp._wide)
+    assert all(b.getchild(*e) == nid for e, nid in ids.items())
 
 
 # ---------------------------------------------------------------- differential
