@@ -2,12 +2,14 @@
 
 from .analysis import (
     MatchProfile,
+    ProbeStats,
     ShapeStats,
     anticentroid_bound,
     centroid_bound,
     decomposition_bounds,
     match_profile,
     nonstep_path_nodes,
+    probe_stats,
     shape_stats,
 )
 from .core import (
@@ -34,6 +36,7 @@ __all__ = [
     "InvalidKeyword",
     "MatchProfile",
     "NO_VALUE",
+    "ProbeStats",
     "ResourceExhausted",
     "ShapeStats",
     "anticentroid_bound",
@@ -41,6 +44,7 @@ __all__ = [
     "decomposition_bounds",
     "match_profile",
     "nonstep_path_nodes",
+    "probe_stats",
     "shape_stats",
     "__version__",
 ]

@@ -80,6 +80,47 @@ def shape_stats(d: Dictionary) -> ShapeStats:
     return ShapeStats(node_count, step_count, height_sum, label_sum)
 
 
+@dataclass(frozen=True)
+class ProbeStats:
+    """Probe lengths of the node table's linear probing, in slots scanned."""
+
+    max_cluster: int         # longest run of used slots, across the table's end
+    miss_probes_mean: float  # a failed search, over every home slot
+    hit_probes_mean: float   # a successful search, over the used slots
+
+
+def probe_stats(d: Dictionary) -> ProbeStats:
+    """Census the node table's clusters and its nodes' displacements.
+
+    The clusters come from the vacancy marks: a failed search from a home
+    slot scans the used slots from there to the end of its cluster, then
+    one vacant slot. A successful search scans its node's displacement from
+    the home slot of the key it stores, plus one slot.
+    """
+    b = d._backend
+    capacity = b.capacity
+    used = bytearray(capacity)
+    hit_sum = 0
+    for j in b._used_slots():
+        used[j] = 1
+        home = (b._slot_key(j) * b._mult >> b._sym_bits) & b._cap_mask
+        hit_sum += ((j - home) & b._cap_mask) + 1
+    # the load stays <= 0.9, so some slot is vacant: start the clusters there
+    start = used.index(0)
+    longest = run = 0
+    miss_sum = capacity - sum(used)  # homes at a vacant slot scan just it
+    for j in range(start + 1, start + capacity + 1):
+        if used[j % capacity]:
+            run += 1
+            continue
+        # a home at the p-th slot of this cluster of run slots scans
+        # run - p of them and then the vacant one: run(run + 1)/2 + run
+        miss_sum += run * (run + 1) // 2 + run
+        longest = max(longest, run)
+        run = 0
+    return ProbeStats(longest, miss_sum / capacity, hit_sum / b.node_count)
+
+
 def nonstep_path_nodes(d: Dictionary, keyword) -> int:
     """Labeled nodes on the keyword's path, its own node included.
 

@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import decomposition_bounds, match_profile, shape_stats
+from .analysis import decomposition_bounds, match_profile, probe_stats, shape_stats
 from .core import Config, DynPdtError, EmptyCorpus, GROUP_SIZES, LABEL_MAPS, REPRS
 from .dictionary import Dictionary
 
@@ -167,6 +167,7 @@ def run_stats(args) -> tuple[dict, int]:
     keys, d, rep = _load_and_build(args)
     st = shape_stats(d)
     mp = match_profile(d, keys)
+    ps = probe_stats(d)
     rep.update({
         "step_count": st.step_count,
         "steps_pct": round(st.steps_pct, 6),
@@ -175,6 +176,9 @@ def run_stats(args) -> tuple[dict, int]:
         "ave_nll": round(st.ave_nll, 4),
         "labels_per_hit": round(mp.labels_per_lookup, 4),
         "first_byte_pct": round(mp.first_byte_pct, 2),
+        "max_cluster": ps.max_cluster,
+        "miss_probes_mean": round(ps.miss_probes_mean, 4),
+        "hit_probes_mean": round(ps.hit_probes_mean, 4),
     })
     return rep, 0
 

@@ -21,7 +21,10 @@ the keyword offset of the branching byte. lookup() and delete() read that
 result; insert() creates just the missing tail from it.
 
 Deletion clears a node's value but keeps the node, so the trie only ever
-grows; re-inserting a deleted keyword revives it in place.
+grows; re-inserting a deleted keyword revives it in place. An insert that
+raises after placing nodes, in a label write say, removes them again,
+newest first, and leaves the dictionary as it was; a doubling it finished
+stays.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ class Dictionary:
         self._backend = make_backend(self._config, self._on_grow)
         self._nlm = make_label_map(self._config)
         self._live = 0
+        # the node an insert adds its nodes below, kept current through
+        # doublings so that a failed insert can find and remove them
+        self._tail = self._backend.root_id
 
     def _on_grow(self, remap, new_capacity: int) -> None:
         """Let the labels follow a doubling of the node table.
@@ -64,6 +70,7 @@ class Dictionary:
         """
         if remap is not None:
             self._nlm.remap(remap, new_capacity)
+            self._tail = remap[self._tail]
 
     def _walk(self, s: bytes):
         """Descend along terminated keyword s; the one walk of all operations.
@@ -134,14 +141,41 @@ class Dictionary:
             step = self._step_code
             if hops:  # room for the whole tail before any of it is made
                 u = backend.reserve(u, hops + 1)
-            while hops:
-                u = backend.addchild(u, step)
-                nlm.associate_step(u)
-                hops -= 1
-            u = backend.addchild(u, c)
-            nlm.associate(u, s[i + 1:-1], value)
+            self._tail = u
+            owed = hops
+            try:
+                while owed:
+                    u = backend.addchild(u, step)
+                    nlm.associate_step(u)
+                    owed -= 1
+                u = backend.addchild(u, c)
+                nlm.associate(u, s[i + 1:-1], value)
+            except BaseException:
+                self._undo_tail(hops, c)
+                raise
         self._live += 1
         return True
+
+    def _undo_tail(self, hops: int, c: int) -> None:
+        """Remove what a failed insert added below self._tail, newest first.
+
+        The tail had no child along the first edge the insert added, so the
+        nodes found along hops step edges and then c are all the insert's.
+        A doubling it finished stays.
+        """
+        backend = self._backend
+        step = self._step_code
+        chain = []
+        u = self._tail
+        for code in [step] * hops + [c]:
+            v = backend.getchild(u, code)
+            if v is None:
+                break
+            chain.append((u, code, v))
+            u = v
+        for u, code, v in reversed(chain):
+            self._nlm.drop_step(v)
+            backend.removechild(u, code)
 
     def lookup(self, keyword) -> Optional[int]:
         """Value stored for keyword, or None. Malformed keywords are absent."""

@@ -131,6 +131,9 @@ class LabelMap:
         self._mask = group_size - 1
         self._empty = _EMPTY[group_size]
         self._groups: list[bytes] = []
+        # the group count remap sized the list to; past it, the last group
+        # always holds a record
+        self._floor = 0
 
     def associate(self, nid: int, label: bytes, value: int) -> None:
         m = len(label)
@@ -139,6 +142,23 @@ class LabelMap:
 
     def associate_step(self, nid: int) -> None:
         self._insert(nid, _STEP_RECORD)
+
+    def drop_step(self, nid: int) -> None:
+        """Remove nid's step record, if it has one, by zeroing its code byte.
+
+        Trailing groups left with no record go, down to the size remap
+        gave the list, so dropping the newest records restores the list
+        they were added to.
+        """
+        groups = self._groups
+        g = nid >> self._shift
+        rank = nid & self._mask
+        if g >= len(groups) or groups[g][rank] != 1:
+            return
+        buf = groups[g][:rank] + b"\x00" + groups[g][rank + 1:]
+        groups[g] = self._empty if buf == self._empty else buf
+        while len(groups) > self._floor and groups[-1] is self._empty:
+            groups.pop()
 
     def _insert(self, nid: int, record: bytes) -> None:
         groups = self._groups
@@ -273,6 +293,7 @@ class LabelMap:
             except ContractViolation:
                 raise CorruptionError(f"two records map to new id {new}") from None
         self._groups = fresh._groups
+        self._floor = len(fresh._groups)
 
     def iter_items(self):
         for nid, record in self._records():

@@ -50,6 +50,24 @@ all ones. Slots are never freed, so the quotient or id entry of a slot not
 yet placed is still zero and the value goes in with an OR. Only an escaped
 displacement goes through the map.
 
+A search runs in two gears. Its first probes read one entry per slot,
+which is all most successful searches need: a trie walk's hits take 1.02
+to 1.05 probes on average. A failed search scans its whole cluster, and
+near the 0.9 load cap clusters run to hundreds of slots. So a scan still
+going at displacement 14 (on the compact layouts, at the first escaped
+slot from there, where the loop already branches) reads the rest of its
+cluster as runs of up to 64 slots, each one int built from the words the
+run spans, stopping at the table's last slot and resuming at slot 0.
+Entries equal to some value v are the zero fields of the run XORed with v
+repeated, found together by the test (x - low) & ~x & high. Its lowest
+set bit is exact and the bits above it may be borrows, so every candidate
+above the first is read again. The run gives the first vacant entry and
+the first entry equal to the packed key (plain layouts) or to the
+quotient (compact layouts, whose candidates must also hold an escaped
+displacement equal to their distance from the home slot). The answers,
+the slot a failed search records and every stored word are those of the
+slot-by-slot scan.
+
 An insert scans each new node's cluster once. A search that fails records
 the packed key it looked for and the vacant slot where it stopped, and
 placing that key starts its scan there instead of at the home slot. That
@@ -83,6 +101,39 @@ _VACANT = (1 << 4) - 1                 # the nibble of an empty slot
 _SMALL_ESCAPE = _VACANT - 1            # displacement >= 14 leaves the 4-bit array
 _MID_LIMIT = _SMALL_ESCAPE + (1 << 7)  # m-Bonsai's mid/spill tier boundary
 _WORD = (1 << 64) - 1
+_RUN = 64  # slots a scan past its first probes reads at once
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _write_entry(words: array, width: int, i: int, value: int) -> None:
+    """Set entry i of the width-bit entries packed into words to value."""
+    bit = i * width
+    w = bit >> 6
+    off = bit & 63
+    ones = ((1 << width) - 1) << off
+    value <<= off
+    words[w] = (words[w] & ~ones | value) & _WORD
+    if off + width > 64:
+        words[w + 1] = (words[w + 1] & ~(ones >> 64) | value >> 64) & _WORD
+
+
+def _run_masks(width: int) -> tuple[int, int]:
+    """(low, high): bit 0 and the top bit of each of _RUN width-bit fields."""
+    low = ((1 << _RUN * width) - 1) // ((1 << width) - 1)
+    return low, low << (width - 1)
+
+
+_NIB_LOW, _NIB_HIGH = _run_masks(4)
+_NIB_ONES = _NIB_LOW * _VACANT
+
+
+def _run_bits(words: array, lo: int, hi: int) -> int:
+    """Bits [lo, hi) of the packed words as one int shifted down to bit 0,
+    with the rest of the last word they span above them."""
+    run = words[lo >> 6:(hi + 63) >> 6]
+    if _BIG_ENDIAN:
+        run.byteswap()
+    return int.from_bytes(run.tobytes(), "little") >> (lo & 63)
 
 
 def golden_multipliers(bits: int) -> tuple[int, int]:
@@ -143,6 +194,14 @@ class SpillTable:
             return v if v < 255 else self._wide[key]
         raise CorruptionError(f"slot {key} escaped with no overflow entry")
 
+    def remove(self, key: int) -> None:
+        entries = self._entries
+        i = bisect_left(entries, key << 8)
+        if i == len(entries) or entries[i] >> 8 != key:
+            raise CorruptionError(f"slot {key} escaped with no overflow entry")
+        del entries[i]
+        self._wide.pop(key, None)
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -171,9 +230,12 @@ class _HashTrie:
     the slot holding edge (u, c) or None and underlies ``getchild``; a
     None records the key in ``_miss_key`` and the vacant slot where the
     scan stopped in ``_miss_slot``, and ``_place`` of that key starts
-    there. ``_slot_key(j)`` decodes the key stored at slot j, and
-    ``_node_at(j)`` names the node at slot j. growth_ns sums the wall time
-    of the doublings done so far.
+    there. ``_find_slot`` runs in two gears: slot by slot for its first
+    probes, then by runs of up to 64 slots read as one int each (module
+    docstring). ``_slot_key(j)`` decodes the key stored at slot j,
+    ``_node_at(j)`` names the node at slot j, and ``_unplace(j)`` returns
+    slot j's entries to those of a slot never placed. growth_ns sums the
+    wall time of the doublings done so far.
     """
 
     def __init__(self, config: Config, on_grow=None) -> None:
@@ -236,6 +298,20 @@ class _HashTrie:
         slot = self._place((u << self._sym_bits) | c)
         self.node_count += 1
         return self._claim_child(slot)
+
+    def removechild(self, u: int, c: int) -> None:
+        """Remove the child of u along edge code c, the latest node added.
+
+        Only the latest can go: a later placement may have probed past its
+        slot, which reads as vacant again. A failed search recorded since
+        may have passed it too, so the record goes.
+        """
+        j = self._find_slot(u, c)
+        if j is None:
+            raise ContractViolation(f"node {u} has no child along {c}")
+        self._unplace(j)
+        self.node_count -= 1
+        self._miss_key = -1
 
     def reserve(self, u: int, extra: int) -> int:
         """Make room for extra more nodes; returns u's id afterwards.
@@ -355,6 +431,8 @@ class PlainBonsaiTrie(_HashTrie):
     def _init_storage(self, capacity: int) -> None:
         super()._init_storage(capacity)
         self._table = self._marks = packed_words(self._mark_bits, capacity, ones=True)
+        self._run_low, self._run_high = _run_masks(self._mark_bits)
+        self._run_ones = self._run_low * self._key_mask
 
     @property
     def _mark_bits(self) -> int:
@@ -386,8 +464,13 @@ class PlainBonsaiTrie(_HashTrie):
             words[w + 1] ^= flip >> 64
         return j
 
+    def _unplace(self, j: int) -> None:
+        _write_entry(self._table, self._mark_bits, j, self._key_mask)
+
     def _find_slot(self, u: int, c: int) -> int | None:
-        # one frame: the entry reads are inlined
+        # one frame: the entry reads are inlined. The home slot is read
+        # before the loop, so a search that ends there sets up no count;
+        # at displacement 14 the rest of the cluster is read by runs
         zs = self._sym_bits
         k = (u << zs) | c
         mask = self._cap_mask
@@ -395,7 +478,24 @@ class PlainBonsaiTrie(_HashTrie):
         words = self._table
         width = self._cap_bits + zs
         vacant = self._key_mask  # also the entry mask
-        while True:
+        bit = j * width
+        w = bit >> 6
+        off = bit & 63
+        h = words[w] >> off
+        if off + width > 64:
+            h |= words[w + 1] << (64 - off)
+        h &= vacant
+        if h == k:
+            return j
+        # the compact tables' escape threshold, so both layouts turn to runs
+        # at one displacement; at the table's end they wrap to slot 0 by runs
+        runs_from = j + _SMALL_ESCAPE
+        if runs_from > mask:
+            runs_from = mask + 1
+        while h != vacant:
+            j += 1
+            if j == runs_from:
+                return self._scan_runs(k, j & mask)
             bit = j * width
             w = bit >> 6
             off = bit & 63
@@ -405,13 +505,47 @@ class PlainBonsaiTrie(_HashTrie):
             h &= vacant
             if h == k:
                 return j
-            if h == vacant:
-                self._miss_key = k
-                self._miss_slot = j
-                return None
-            j = (j + 1) & mask
+        self._miss_key = k
+        self._miss_slot = j
+        return None
 
     getchild = _find_slot
+
+    def _scan_runs(self, k: int, j: int) -> int | None:
+        """_find_slot from slot j on, up to _RUN slots at a time."""
+        width = self._cap_bits + self._sym_bits
+        low = self._run_low
+        high = self._run_high
+        ones = self._run_ones
+        keys = k * low
+        words = self._table
+        capacity = self.capacity
+        whole = ones + 1  # above every top bit of a whole run
+        while True:
+            n = capacity - j
+            if n < _RUN:  # the run stops at the table's last slot
+                end = 1 << n * width
+            else:
+                n = _RUN
+                end = whole
+            y = _run_bits(words, j * width, (j + n) * width)
+            # the top bits of the first vacant field and of the first field
+            # holding k: both exact, being the lowest zero fields. Past the
+            # table's last slot only the ones that pad its last word can
+            # read as vacant, and only above end
+            x = y ^ ones
+            x = (x - low) & ~x & high
+            stop = x & -x or end
+            x = y ^ keys
+            x = (x - low) & ~x & high
+            x &= -x
+            if x and x < stop:
+                return j + x.bit_length() // width - 1
+            if stop < end:
+                self._miss_key = k
+                self._miss_slot = j + stop.bit_length() // width - 1
+                return None
+            j = (j + n) & self._cap_mask
 
     def _slot_key(self, j: int) -> int:
         words = self._table
@@ -438,6 +572,7 @@ class CompactBonsaiTrie(_HashTrie):
         self._quot = packed_words(self._sym_bits, capacity)
         self._marks = packed_words(4, capacity, ones=True)
         self._disp = SpillTable(self._cap_bits)
+        self._run_low, self._run_high = _run_masks(self._sym_bits)
 
     def _place(self, k: int) -> int:
         # the nibble reads are inlined. An escaped displacement goes into
@@ -468,9 +603,15 @@ class CompactBonsaiTrie(_HashTrie):
         nibbles[j >> 4] ^= (_VACANT ^ d) << ((j & 15) << 2)
         return j
 
+    def _unplace(self, j: int) -> None:
+        if (self._marks[j >> 4] >> ((j & 15) << 2)) & 15 == _SMALL_ESCAPE:
+            self._disp.remove(j)
+        _write_entry(self._quot, self._sym_bits, j, 0)
+        _write_entry(self._marks, 4, j, _VACANT)
+
     def _find_slot(self, u: int, c: int) -> int | None:
         # one frame: the quotient and 4-bit displacement reads are inlined;
-        # only an escaped displacement is read from the map
+        # an escaped displacement is read from the map by the runs
         zs = self._sym_bits
         qmask = self._root_key
         hv = ((u << zs) | c) * self._mult
@@ -478,22 +619,24 @@ class CompactBonsaiTrie(_HashTrie):
         j = (hv >> zs) & mask
         q = hv & qmask
         qwords = self._quot
-        disp = self._disp
         nibbles = self._marks
         vacant = _VACANT
         esc = _SMALL_ESCAPE
         d = 0
         while (nib := (nibbles[j >> 4] >> ((j & 15) << 2)) & 15) != vacant:
-            # below the escape value the nibble is the displacement itself;
-            # at it, the displacement is some d >= 14 held in the map
-            if nib == d or nib == esc <= d:
+            # at the escape value the displacement is some d >= 14 held in
+            # the map, and from displacement 14 on the rest of the cluster
+            # is read by runs; below it the nibble is the displacement itself
+            if nib == esc <= d:
+                return self._scan_runs((u << zs) | c, j, d)
+            if nib == d:
                 bit = j * zs
                 w = bit >> 6
                 off = bit & 63
                 v = qwords[w] >> off
                 if off + zs > 64:
                     v |= qwords[w + 1] << (64 - off)
-                if v & qmask == q and (nib < esc or disp.get(j) == d):
+                if v & qmask == q:
                     return j
             j = (j + 1) & mask
             d += 1
@@ -502,6 +645,46 @@ class CompactBonsaiTrie(_HashTrie):
         return None
 
     getchild = _find_slot
+
+    def _scan_runs(self, k: int, j: int, d: int) -> int | None:
+        """_find_slot from slot j, at displacement d >= 14, on: up to _RUN
+        slots at a time. Only an escaped slot can match there."""
+        zs = self._sym_bits
+        qmask = self._root_key
+        q = k * self._mult & qmask
+        low = self._run_low
+        high = self._run_high
+        quots = q * low
+        qwords = self._quot
+        nibbles = self._marks
+        disp = self._disp
+        capacity = self.capacity
+        while True:
+            n = capacity - j
+            if n > _RUN:
+                n = _RUN
+            nib = _run_bits(nibbles, j << 2, (j + n) << 2)
+            # the first vacant nibble is exact, being the lowest zero field
+            x = nib ^ _NIB_ONES
+            x = (x - _NIB_LOW) & ~x & _NIB_HIGH
+            stop = ((x & -x).bit_length() >> 2) - 1 if x else n
+            y = _run_bits(qwords, j * zs, (j + stop) * zs)
+            x = y ^ quots
+            x = (x - low) & ~x & high
+            while x:  # fields equal to q, and borrows above the first
+                t = (x & -x).bit_length() // zs - 1
+                if t >= stop:
+                    break
+                if ((y >> t * zs) & qmask == q and (nib >> (t << 2)) & 15 == _SMALL_ESCAPE
+                        and disp.get(j + t) == d + t):
+                    return j + t
+                x &= x - 1
+            if stop < n:
+                self._miss_key = k
+                self._miss_slot = j + stop
+                return None
+            j = (j + n) & self._cap_mask
+            d += n
 
     def _slot_key(self, j: int) -> int:
         # the nibble and quotient reads are inlined; only an escaped
@@ -550,6 +733,10 @@ class _DenseIdMixin:
         if off + width > 64:
             words[w + 1] |= v >> 64
         return nid
+
+    def _unplace(self, j: int) -> None:
+        _write_entry(self._ids, self._cap_bits, j, 0)
+        super()._unplace(j)
 
     def getchild(self, u: int, c: int) -> int | None:
         j = self._find_slot(u, c)

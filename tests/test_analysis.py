@@ -25,8 +25,11 @@ from dynpdt import (
     decomposition_bounds,
     match_profile,
     nonstep_path_nodes,
+    probe_stats,
     shape_stats,
 )
+from dynpdt.core import REPRS
+from test_trie_repr import shared_home_edges
 
 
 def build(words, lam=64, capacity=256):
@@ -92,6 +95,27 @@ def test_step_nodes_in_census():
     assert st.steps_pct == pytest.approx(1 / 6)
     assert st.height_sum == 6
     assert st.ave_height == 1.2
+
+
+@pytest.mark.parametrize("repr_", REPRS)
+def test_probe_stats_on_hand_placed_slots(repr_):
+    # the root sits at slot 0 of 64. Edges homed at 62 and 63 fill 62, 63,
+    # then 1-3 past the table's end; edges homed at 10 and 11 fill 10-14
+    d = Dictionary(Config(trie_repr=repr_, initial_capacity=64))
+    b = d._backend
+    for home, n in ((62, 3), (63, 2), (10, 3), (11, 2)):
+        for e in shared_home_edges(b, home, n):
+            b.addchild(*e)
+    assert sorted(b._used_slots()) == [0, 1, 2, 3, 10, 11, 12, 13, 14, 62, 63]
+    ps = probe_stats(d)
+    assert ps.max_cluster == 6  # 62, 63, 0, 1, 2, 3
+    # a failed search from the p-th slot of a cluster of L slots scans
+    # L - p + 1 slots, 27 over the 6-slot cluster and 20 over the 5-slot
+    # one; from each of the 53 vacant slots it scans 1
+    assert ps.miss_probes_mean == (27 + 20 + 53) / 64
+    # displacements: the root 0; from 62: 0, 1, 3; from 63: 3, 4; from
+    # 10: 0, 1, 2; from 11: 2, 3. A hit scans one slot more
+    assert ps.hit_probes_mean == (11 + 0 + 4 + 7 + 3 + 5) / 11
 
 
 def test_empty_inputs_raise():

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import random_words
-from dynpdt import Config, Dictionary, nonstep_path_nodes
+from dynpdt import Config, Dictionary, nonstep_path_nodes, probe_stats
 from dynpdt.cli import load_corpus, main, shuffle_keys
 
 
@@ -158,6 +158,14 @@ def test_stats_reports_shape(corpus, capsys):
     paths = [nonstep_path_nodes(d, w) for w in words]
     assert rep["labels_per_hit"] == round(sum(paths) / len(paths), 4)
     assert 0 < rep["first_byte_pct"] <= 100
+    # the probe census of the table the command built, from 256 slots
+    d = Dictionary(Config(offset_limit=8, initial_capacity=256))
+    for i, w in enumerate(words):
+        d.insert(w, i)
+    ps = probe_stats(d)
+    assert rep["max_cluster"] == ps.max_cluster >= 1
+    assert rep["miss_probes_mean"] == round(ps.miss_probes_mean, 4) > 1
+    assert rep["hit_probes_mean"] == round(ps.hit_probes_mean, 4) >= 1
 
 
 def test_bounds_brackets_stats(corpus, capsys):

@@ -658,6 +658,58 @@ def test_fault_in_spill_insert_leaves_the_table_unchanged(repr_, monkeypatch):
     assert all(d.lookup(k) == i for i, k in enumerate(keys))
 
 
+@pytest.mark.parametrize("lam", [64, 4])
+@pytest.mark.parametrize("repr_,nlm", [(r, m) for r in REPRS for m in LABEL_MAPS])
+def test_fault_in_associate_removes_the_new_nodes(repr_, nlm, lam):
+    # the insert's label write raises after its nodes are placed: each node
+    # goes again, newest first, with its step record, and the insert then
+    # succeeds. At offset limit 4 the key branches 18 bytes into a label,
+    # so it owes step nodes; at 64 it adds one node. The table doubled
+    # before, so a slot-id label map holds groups no record has written
+    d = Dictionary(Config(trie_repr=repr_, label_map=nlm, offset_limit=lam,
+                          initial_capacity=16))
+    keys = random_words(20, seed=8) + [b"q17abcdefghijklmnop"]
+    for i, k in enumerate(keys):
+        d.insert(k, i)
+    key = b"q17abcdefghijklmno!"
+    hops = d._walk(key + b"\0")[2]
+    assert (hops > 0) == (lam == 4) and d.growth_events > 0
+    assert 10 * (d.node_count + hops + 1) <= 9 * d.capacity  # no doubling
+    before = dictionary_state(d)
+
+    def failing(nid, label, value):
+        raise MemoryError
+
+    d._nlm.associate = failing  # looked up on each insert
+    with pytest.raises(MemoryError):
+        d.insert(key, 99)
+    assert dictionary_state(d) == before
+    del d._nlm.associate
+    assert d.insert(key, 99)
+    assert [d.lookup(k) for k in keys + [key]] == list(range(len(keys))) + [99]
+
+
+@pytest.mark.parametrize("repr_", REPRS)
+@pytest.mark.parametrize("n", [5, 20, 300])
+def test_removechild_restores_every_word(repr_, n):
+    # n edges share one home, so the next is placed at displacement n or
+    # more: in the nibble, escaped, or escaped with its value whole.
+    # Removing it leaves every word array and the escape map as they were,
+    # and the search recorded past it goes
+    b = make_backend(cfg(repr_, capacity=1024))
+    edges = shared_home_edges(b, 700, n + 2)
+    for e in edges[:n]:
+        b.addchild(*e)
+    before = table_state(b)
+    b.addchild(*edges[n])
+    assert b.getchild(*edges[n + 1]) is None and b._miss_key >= 0
+    b.removechild(*edges[n])
+    assert (table_state(b), b._miss_key) == (before, -1)
+    assert b.getchild(*edges[n]) is None
+    with pytest.raises(ContractViolation):
+        b.removechild(*edges[n])
+
+
 class _FailingInsertOnce(array):
     """An array whose first insert raises MemoryError."""
 
@@ -900,6 +952,137 @@ def test_recorded_slot_differential(repr_, lam, ops):
     assert table_state(b) == table_state(ref)
     for p, c in edges:
         assert b.getchild(nodes[p], c) is not None
+
+
+# ---------------------------------------------------------------- run scan
+# past displacement 14 a search reads its cluster by runs of slots; each
+# answer must be the slot-by-slot scan's, read by the reference reader
+
+
+def edge_at(b, home, quot):
+    """The edge (parent, code) whose packed key is homed at slot home and
+    stores quotient quot; the root's own key for one pair."""
+    k = ((home << b._sym_bits) | quot) * b._mult_inv & b._key_mask
+    return k >> b._sym_bits, k & b._root_key
+
+
+def reference_key(b, j):
+    """The packed key stored at used slot j, by the reference reader."""
+    if hasattr(b, "_table"):
+        return packed_entry(b._table, b._cap_bits + b._sym_bits, j)
+    home = (j - displacement(b, j)) & b._cap_mask
+    q = packed_entry(b._quot, b._sym_bits, j)
+    return ((home << b._sym_bits) | q) * b._mult_inv & b._key_mask
+
+
+def check_searches(b, edges):
+    """_find_slot of each edge against a slot-by-slot scan from its home;
+    a failed search records the key and the first vacant slot. Returns the
+    number of failed searches."""
+    vacant = (1 << b._mark_bits) - 1
+    misses = 0
+    for u, c in edges:
+        k = (u << b._sym_bits) | c
+        j = home_slot(b, k)
+        while packed_entry(b._marks, b._mark_bits, j) != vacant and reference_key(b, j) != k:
+            j = (j + 1) & b._cap_mask
+        if packed_entry(b._marks, b._mark_bits, j) == vacant:
+            assert b._find_slot(u, c) is None
+            assert (b._miss_key, b._miss_slot) == (k, j)
+            misses += 1
+        else:
+            assert b._find_slot(u, c) == j
+    return misses
+
+
+def fill(b, clumps):
+    """Add the edges (home, quotient) of each clump (home, first quotient,
+    count) in order, skipping the root's key; returns the edges added."""
+    added = []
+    for home, q, n in clumps:
+        for quot in range(q, q + n):
+            e = edge_at(b, home, quot)
+            if e != (0, b._root_key) and b.getchild(*e) is None:
+                b.addchild(*e)
+                added.append(e)
+    return added
+
+
+def false_positive_at(b, home, quot):
+    """Whether the scan from home for quotient quot passes, at displacement
+    14 or more, a slot storing quot for another home just below a slot
+    storing quot ^ 1: a true zero field with a borrow above it."""
+    zs, mask = b._sym_bits, b._cap_mask
+    j, d = home, 0
+    vacant = (1 << b._mark_bits) - 1
+    while packed_entry(b._marks, b._mark_bits, j) != vacant:
+        nxt = (j + 1) & mask
+        if (d >= _SMALL_ESCAPE and packed_entry(b._quot, zs, j) == quot
+                and displacement(b, j) != d and packed_entry(b._marks, 4, nxt) != vacant
+                and packed_entry(b._quot, zs, nxt) == quot ^ 1):
+            return True
+        j, d = nxt, d + 1
+    return False
+
+
+@pytest.mark.parametrize("repr_", REPRS)
+def test_run_scan_agrees_with_reference(repr_):
+    # at 1,024 slots: 300 edges homed at 100 make a cluster of over four
+    # runs whose compact displacements pass 255; 120 homed at 980 wrap past
+    # the last slot to slot 75. At 500, 27 edges, then quotient 30 at
+    # displacement 27 and, homed at 501, quotient 31 = 30 ^ 1 beside it: a
+    # search from 501 for 30 meets a true zero field with a borrow above
+    # it, where the displacement matches but the quotient does not
+    b = make_backend(cfg(repr_, capacity=1024))
+    stored = fill(b, [(100, 1, 300), (980, 1, 120), (500, 100, 27), (500, 30, 1), (501, 31, 1)])
+    assert b.growth_events == 0 and b.node_count == 450
+    # the root sits at slot 709
+    assert list(b._used_slots()) == [*range(76), *range(100, 400), *range(500, 529),
+                                     709, *range(980, 1024)]
+    if hasattr(b, "_disp"):
+        assert max(b._disp._wide.values()) == 299
+        assert false_positive_at(b, 501, 30)
+    # every stored edge, then from every home the edges storing quotients
+    # that other homes' edges store
+    searches = stored + [edge_at(b, h, q) for h in range(b.capacity)
+                         for q in (1 + h % 300, 30, 31)]
+    assert check_searches(b, searches) > 2000
+    # at 32 slots and offset limit 8 a key is 17 bits, and the 32 bits of
+    # ones that pad the last word read as one more vacant entry past slot
+    # 31: a scan from 4 through the used slots 4-31 goes on at slot 0
+    b = make_backend(cfg(repr_, capacity=32, lam=8))
+    stored = fill(b, [(4, 1, 27)])
+    assert list(b._used_slots()) == list(range(4, 32))
+    searches = stored + [edge_at(b, h, q) for h in range(b.capacity) for q in range(40, 44)]
+    assert check_searches(b, searches) == 128
+
+
+@pytest.mark.parametrize("repr_", REPRS)
+@settings(derandomize=True, max_examples=4, deadline=None, phases=[Phase.generate])
+@given(load=st.floats(0.85, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_run_scan_differential(repr_, load, seed):
+    # clumps of edges with consecutive quotients at random homes fill 512
+    # slots to the load, after the clump of 2-41 at one home that puts a
+    # borrow above a true zero. Searched: every stored edge, each one's
+    # quotient from a home up to 40 slots further on, and random edges
+    b = make_backend(cfg(repr_, capacity=512))
+    rng = random.Random(seed)
+    target = min(int(load * b.capacity), 9 * b.capacity // 10 - 1)
+    trap = rng.randrange(b.capacity)
+    stored = fill(b, [(trap, 2, 40)])
+    qmax = 1 << b._sym_bits
+    while b.node_count < target:
+        n = min(rng.randrange(1, 24), target - b.node_count)
+        stored += fill(b, [(rng.randrange(b.capacity), rng.randrange(1, qmax - n), n)])
+    assert b.growth_events == 0
+    if hasattr(b, "_disp"):
+        assert false_positive_at(b, (trap + 1) & b._cap_mask, 30)
+    homes = {e: home_slot(b, (e[0] << b._sym_bits) | e[1]) for e in stored}
+    shadows = [edge_at(b, (homes[e] + rng.randrange(1, 41)) & b._cap_mask,
+                       reference_key(b, b._find_slot(*e)) * b._mult & b._root_key)
+               for e in stored]
+    randoms = [edge_at(b, rng.randrange(b.capacity), rng.randrange(qmax)) for _ in range(200)]
+    assert check_searches(b, stored + shadows + randoms) > 0
 
 
 # ---------------------------------------------------------------- placement
