@@ -175,13 +175,16 @@ def test_spill_table_holds_full_width_values(key_bits):
     assert (st.mid_count, st.spill_count) == (1, 1)
 
 
+def edge_at(b, home, quot):
+    """The edge (parent, code) whose packed key is homed at slot home and
+    stores quotient quot; the root's own key for one pair."""
+    k = ((home << b._sym_bits) | quot) * b._mult_inv & b._key_mask
+    return k >> b._sym_bits, k & b._root_key
+
+
 def shared_home_edges(b, home, n):
     """n edges (parent, code), none of them the root's, homed at slot home."""
-    sym_bits = b._sym_bits
-    edges = []
-    for quot in range(1, n + 2):
-        k = ((home << sym_bits) | quot) * b._mult_inv & b._key_mask
-        edges.append((k >> sym_bits, k & ((1 << sym_bits) - 1)))
+    edges = [edge_at(b, home, quot) for quot in range(1, n + 2)]
     return [e for e in edges if e != (0, b._root_key)][:n]
 
 
@@ -957,13 +960,6 @@ def test_recorded_slot_differential(repr_, lam, ops):
 # ---------------------------------------------------------------- run scan
 # past displacement 14 a search reads its cluster by runs of slots; each
 # answer must be the slot-by-slot scan's, read by the reference reader
-
-
-def edge_at(b, home, quot):
-    """The edge (parent, code) whose packed key is homed at slot home and
-    stores quotient quot; the root's own key for one pair."""
-    k = ((home << b._sym_bits) | quot) * b._mult_inv & b._key_mask
-    return k >> b._sym_bits, k & b._root_key
 
 
 def reference_key(b, j):
