@@ -204,17 +204,19 @@ class Dictionary:
 
         Keywords are respelled by climbing to the root through one
         parent_keys() snapshot and replaying the path downward. Raises
-        RuntimeError, as a dict does, if an insert adds nodes while the
-        pairs are being iterated.
+        RuntimeError, as a dict does, if an insert adds nodes or doubles
+        the table while the pairs are being iterated; a doubling moves the
+        slot ids the snapshot holds even when the insert that made it
+        fails and takes its nodes back.
         """
         backend = self._backend
         keys = backend.parent_keys()
-        nodes = backend.node_count
+        shape = backend.node_count, backend.growth_events
         for nid, payload in self._nlm.iter_items():
             if payload.value is None or payload.value == NO_VALUE:
                 continue
             yield self._spell(keys, nid, payload.label), payload.value
-            if backend.node_count != nodes:
+            if (backend.node_count, backend.growth_events) != shape:
                 raise RuntimeError("dictionary changed size during iteration")
 
     def _spell(self, keys, nid: int, label: bytes) -> bytes:

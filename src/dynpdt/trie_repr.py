@@ -33,9 +33,9 @@ replaces the old, so a doubling that raises leaves the table as it was.
 Every node table marks a vacant slot with an all-ones entry: in the key
 array of the plain layouts, in the 4-bit displacement array of the compact
 ones. There nibble 15 is vacant, 0-13 are the displacement itself and 14
-escapes: the displacement is then held in one small map from slot id to
-displacement, SpillTable, written before any word of the placement and
-searched by bisection.
+escapes: the displacement is then held in one small map, SpillTable,
+written before any word of the placement and searched by bisection both
+from the slot and from the home slot it is the displacement from.
 
 Every table is built of ``array("Q")`` words holding fixed-width entries
 packed low bit first: entry i spans bits [i * width, (i + 1) * width) and
@@ -53,20 +53,25 @@ displacement goes through the map.
 A search runs in two gears. Its first probes read one entry per slot,
 which is all most successful searches need: a trie walk's hits take 1.02
 to 1.05 probes on average. A failed search scans its whole cluster, and
-near the 0.9 load cap clusters run to hundreds of slots. So a scan still
-going at displacement 14 (on the compact layouts, at the first escaped
-slot from there, where the loop already branches) reads the rest of its
-cluster as runs of up to 64 slots, each one int built from the words the
-run spans, stopping at the table's last slot and resuming at slot 0.
-Entries equal to some value v are the zero fields of the run XORed with v
-repeated, found together by the test (x - low) & ~x & high. Its lowest
-set bit is exact and the bits above it may be borrows, so every candidate
-above the first is read again. The run gives the first vacant entry and
-the first entry equal to the packed key (plain layouts) or to the
-quotient (compact layouts, whose candidates must also hold an escaped
-displacement equal to their distance from the home slot). The answers,
-the slot a failed search records and every stored word are those of the
-slot-by-slot scan.
+near the 0.9 load cap clusters run to hundreds of slots. A scan still
+going at displacement 14 changes gear there.
+
+The compact layouts ask the map. A key 14 or more slots from its home
+can only sit at an escaped slot, and the map lists the escaped
+displacements homed at each slot, so the search reads the quotients of
+those slots alone: the key is present exactly when one of them matches.
+A search that fails there still records the first vacant slot, found by
+reading the nibbles as runs (below).
+
+The plain layouts read the rest of the cluster as runs of up to 64 slots,
+each one int built from the words the run spans, stopping at the table's
+last slot and resuming at slot 0. Entries equal to some value v are the
+zero fields of the run XORed with v repeated, found together by the test
+(x - low) & ~x & high. Its lowest set bit is exact and the bits above it
+may be borrows, so a run yields only the first vacant entry and the first
+entry equal to the packed key. The compact nibble runs find the first
+vacant nibble the same way. The answers, the slot a failed search records
+and every stored word are those of the slot-by-slot scan.
 
 An insert scans each new node's cluster once. A search that fails records
 the packed key it looked for and the vacant slot where it stopped, and
@@ -157,31 +162,47 @@ def packed_words(width: int, size: int, ones: bool = False) -> array:
 
 
 class SpillTable:
-    """Map from slot ids to the rare escaped displacements.
+    """Map from slot ids to the rare escaped displacements, and back from
+    home slots to the displacements homed there.
 
-    One array of ``slot << 8 | byte`` entries in slot order: a lookup is
-    one binary search, an insert one ``array.insert``. A value of 255 or
-    more (long clusters near full load) stores the byte 255 and goes whole
-    into a dict keyed by slot, written first and dropped if the array
-    raises. Entries are 32-bit up to 2**24 slots and 64-bit past that, a
-    size only tables of over ~15 million nodes reach (0.9 * 2**24).
+    Two sorted arrays hold one entry per escaped slot: ``slot << 8 | byte``
+    in slot order, and ``home << 8 | byte`` in home order, where the home
+    is the slot less the displacement, modulo the table's size. A lookup
+    either way is one binary search, an insert one ``array.insert`` in
+    each. A value of 255 or more (long clusters near full load) stores the
+    byte 255 and goes whole into a dict keyed by slot; its home entries
+    sort after the home's byte values, and ``homed_at`` reads those values
+    from the dict. The dict is written first, and an array insert that
+    raises undoes the writes before it. Entries are 32-bit up to 2**24
+    slots and 64-bit past that, a size only tables of over ~15 million
+    nodes reach (0.9 * 2**24).
     """
 
-    __slots__ = ("_entries", "_wide")
+    __slots__ = ("_entries", "_homes", "_wide", "_mask")
 
     def __init__(self, key_bits: int) -> None:
-        self._entries = array("I" if key_bits + 8 <= 32 else "Q")
+        typecode = "I" if key_bits + 8 <= 32 else "Q"
+        self._entries = array(typecode)
+        self._homes = array(typecode)
         self._wide = {}
+        self._mask = (1 << key_bits) - 1
 
     def insert(self, key: int, value: int) -> None:
         entries = self._entries
         i = bisect_left(entries, key << 8)
         if i < len(entries) and entries[i] >> 8 == key:
             raise ContractViolation("key already present")
+        byte = min(value, 255)
+        home = ((key - value) & self._mask) << 8 | byte
         if value >= 255:
             self._wide[key] = value
         try:
-            entries.insert(i, key << 8 | min(value, 255))
+            entries.insert(i, key << 8 | byte)
+            try:
+                self._homes.insert(bisect_left(self._homes, home), home)
+            except BaseException:
+                del entries[i]
+                raise
         except BaseException:
             self._wide.pop(key, None)
             raise
@@ -194,12 +215,35 @@ class SpillTable:
             return v if v < 255 else self._wide[key]
         raise CorruptionError(f"slot {key} escaped with no overflow entry")
 
+    def homed_at(self, home: int) -> list[int]:
+        """The escaped displacements of the slots homed at home."""
+        homes = self._homes
+        n = len(homes)
+        i = bisect_left(homes, home << 8)
+        end = home + 1 << 8
+        found = []
+        while i < n and homes[i] < end:
+            v = homes[i] & 255
+            if v == 255:  # the home's wide values, which sort last
+                mask = self._mask
+                found += [v for j, v in self._wide.items() if (j - v) & mask == home]
+                break
+            found.append(v)
+            i += 1
+        return found
+
     def remove(self, key: int) -> None:
+        # both entries are found before either goes, and deleting from an
+        # array never reallocates it, so a removal that raises changes nothing
+        value = self.get(key)
         entries = self._entries
-        i = bisect_left(entries, key << 8)
-        if i == len(entries) or entries[i] >> 8 != key:
-            raise CorruptionError(f"slot {key} escaped with no overflow entry")
-        del entries[i]
+        homes = self._homes
+        home = ((key - value) & self._mask) << 8 | min(value, 255)
+        h = bisect_left(homes, home)
+        if h == len(homes) or homes[h] != home:
+            raise CorruptionError(f"slot {key} escaped with no home entry")
+        del homes[h]
+        del entries[bisect_left(entries, key << 8)]
         self._wide.pop(key, None)
 
     def __len__(self) -> int:
@@ -216,7 +260,8 @@ class SpillTable:
         return sum(1 for e in self._entries if e & 255 >= _MID_LIMIT)
 
     def memory_bytes(self) -> int:
-        return (sys.getsizeof(self._entries) + sys.getsizeof(self._wide) +
+        return (sys.getsizeof(self._entries) + sys.getsizeof(self._homes) +
+                sys.getsizeof(self._wide) +
                 sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in self._wide.items()))
 
 
@@ -231,11 +276,12 @@ class _HashTrie:
     None records the key in ``_miss_key`` and the vacant slot where the
     scan stopped in ``_miss_slot``, and ``_place`` of that key starts
     there. ``_find_slot`` runs in two gears: slot by slot for its first
-    probes, then by runs of up to 64 slots read as one int each (module
-    docstring). ``_slot_key(j)`` decodes the key stored at slot j,
-    ``_node_at(j)`` names the node at slot j, and ``_unplace(j)`` returns
-    slot j's entries to those of a slot never placed. growth_ns sums the
-    wall time of the doublings done so far.
+    probes, then from displacement 14 by runs of up to 64 slots read as
+    one int each (plain layouts) or through the escape map's entries for
+    the home slot (compact layouts; module docstring). ``_slot_key(j)``
+    decodes the key stored at slot j, ``_node_at(j)`` names the node at
+    slot j, and ``_unplace(j)`` returns slot j's entries to those of a slot
+    never placed. growth_ns sums the wall time of the doublings done so far.
     """
 
     def __init__(self, config: Config, on_grow=None) -> None:
@@ -563,7 +609,8 @@ class PlainBonsaiTrie(_HashTrie):
 
 
 class CompactBonsaiTrie(_HashTrie):
-    """Quotient-only key storage: 4-bit displacements, escapes in one map."""
+    """Quotient-only key storage: 4-bit displacements, escapes in one map
+    that also finds them from their home slot."""
 
     _mark_bits = 4
 
@@ -572,7 +619,6 @@ class CompactBonsaiTrie(_HashTrie):
         self._quot = packed_words(self._sym_bits, capacity)
         self._marks = packed_words(4, capacity, ones=True)
         self._disp = SpillTable(self._cap_bits)
-        self._run_low, self._run_high = _run_masks(self._sym_bits)
 
     def _place(self, k: int) -> int:
         # the nibble reads are inlined. An escaped displacement goes into
@@ -610,8 +656,10 @@ class CompactBonsaiTrie(_HashTrie):
         _write_entry(self._marks, 4, j, _VACANT)
 
     def _find_slot(self, u: int, c: int) -> int | None:
-        # one frame: the quotient and 4-bit displacement reads are inlined;
-        # an escaped displacement is read from the map by the runs
+        # one frame: the quotient and 4-bit displacement reads are inlined.
+        # Below displacement 14 the nibble is the displacement itself; from
+        # 14 on the key can only sit at an escaped slot, and the map names
+        # every escaped slot homed where the search started
         zs = self._sym_bits
         qmask = self._root_key
         hv = ((u << zs) | c) * self._mult
@@ -624,11 +672,19 @@ class CompactBonsaiTrie(_HashTrie):
         esc = _SMALL_ESCAPE
         d = 0
         while (nib := (nibbles[j >> 4] >> ((j & 15) << 2)) & 15) != vacant:
-            # at the escape value the displacement is some d >= 14 held in
-            # the map, and from displacement 14 on the rest of the cluster
-            # is read by runs; below it the nibble is the displacement itself
-            if nib == esc <= d:
-                return self._scan_runs((u << zs) | c, j, d)
+            if d == esc:
+                i = (j - esc) & mask
+                for e in self._disp.homed_at(i):
+                    s = (i + e) & mask
+                    bit = s * zs
+                    w = bit >> 6
+                    off = bit & 63
+                    v = qwords[w] >> off
+                    if off + zs > 64:
+                        v |= qwords[w + 1] << (64 - off)
+                    if v & qmask == q:
+                        return s
+                return self._scan_vacant((u << zs) | c, j)
             if nib == d:
                 bit = j * zs
                 w = bit >> 6
@@ -646,45 +702,24 @@ class CompactBonsaiTrie(_HashTrie):
 
     getchild = _find_slot
 
-    def _scan_runs(self, k: int, j: int, d: int) -> int | None:
-        """_find_slot from slot j, at displacement d >= 14, on: up to _RUN
-        slots at a time. Only an escaped slot can match there."""
-        zs = self._sym_bits
-        qmask = self._root_key
-        q = k * self._mult & qmask
-        low = self._run_low
-        high = self._run_high
-        quots = q * low
-        qwords = self._quot
+    def _scan_vacant(self, k: int, j: int) -> None:
+        """Record the failed search for k at the first vacant slot from j
+        on, reading up to _RUN nibbles at a time."""
         nibbles = self._marks
-        disp = self._disp
         capacity = self.capacity
         while True:
             n = capacity - j
             if n > _RUN:
                 n = _RUN
-            nib = _run_bits(nibbles, j << 2, (j + n) << 2)
             # the first vacant nibble is exact, being the lowest zero field
-            x = nib ^ _NIB_ONES
+            x = _run_bits(nibbles, j << 2, (j + n) << 2) ^ _NIB_ONES
             x = (x - _NIB_LOW) & ~x & _NIB_HIGH
-            stop = ((x & -x).bit_length() >> 2) - 1 if x else n
-            y = _run_bits(qwords, j * zs, (j + stop) * zs)
-            x = y ^ quots
-            x = (x - low) & ~x & high
-            while x:  # fields equal to q, and borrows above the first
-                t = (x & -x).bit_length() // zs - 1
-                if t >= stop:
-                    break
-                if ((y >> t * zs) & qmask == q and (nib >> (t << 2)) & 15 == _SMALL_ESCAPE
-                        and disp.get(j + t) == d + t):
-                    return j + t
-                x &= x - 1
-            if stop < n:
+            t = ((x & -x).bit_length() >> 2) - 1 if x else n
+            if t < n:
                 self._miss_key = k
-                self._miss_slot = j + stop
+                self._miss_slot = j + t
                 return None
             j = (j + n) & self._cap_mask
-            d += n
 
     def _slot_key(self, j: int) -> int:
         # the nibble and quotient reads are inlined; only an escaped

@@ -217,6 +217,34 @@ def test_items_refuses_inserts_while_iterating(repr_, grow):
 
 
 @pytest.mark.parametrize("repr_", REPRS)
+def test_items_refuses_a_failed_insert_that_doubled(repr_):
+    # an insert between two pairs doubles the table, then its label write
+    # raises and its nodes go: the node count is as before, but the slot
+    # ids the iteration's snapshot holds have moved
+    d = make(repr_, capacity=16)
+    keys = random_words(20, seed=8)
+    n = 0
+    while 10 * (d.node_count + 1) <= 9 * d.capacity:
+        d.insert(keys[n], n)
+        n += 1
+    pairs = d.items()
+    next(pairs)
+    nodes, events = d.node_count, d.growth_events
+
+    def failing(nid, label, value):
+        raise MemoryError
+
+    d._nlm.associate = failing  # looked up on each insert
+    with pytest.raises(MemoryError):
+        d.insert(keys[n], n)
+    del d._nlm.associate
+    assert (d.node_count, d.growth_events) == (nodes, events + 1)
+    with pytest.raises(RuntimeError, match="changed size during iteration"):
+        next(pairs)
+    assert sorted(d.items()) == sorted((k, i) for i, k in enumerate(keys[:n]))
+
+
+@pytest.mark.parametrize("repr_", REPRS)
 def test_climb_to_reserved_key_is_corruption(repr_, monkeypatch):
     # the root key marks the root and the ids no node holds; a climb that
     # meets it below the root is reading a broken table

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import dna_kmers, random_words, synthetic_urls
-from dynpdt import Dictionary
+from dynpdt import Dictionary, trie_repr
 from dynpdt.core import LABEL_MAPS, REPRS, Config, ContractViolation, CorruptionError, ResourceExhausted
 from dynpdt.trie_repr import (
     _SMALL_ESCAPE,
@@ -55,10 +55,12 @@ def write_entry(words, width, i, value):
 
 def table_state(b):
     """Capacity, node count, every word array (the key or quotient and mark
-    words, and the dense ids) and the escape map, as plain values."""
+    words, and the dense ids) and the escape map's two arrays and dict, as
+    plain values."""
     state = {name: v.tolist() for name, v in vars(b).items() if isinstance(v, array)}
     if hasattr(b, "_disp"):
-        state["_disp"] = (b._disp._entries.tolist(), dict(b._disp._wide))
+        disp = b._disp
+        state["_disp"] = (disp._entries.tolist(), disp._homes.tolist(), dict(disp._wide))
     return b.capacity, b.node_count, state
 
 
@@ -173,6 +175,44 @@ def test_spill_table_holds_full_width_values(key_bits):
     assert st.get(5) == 2**key_bits - 1
     assert st.get(2**key_bits - 1) == 14
     assert (st.mid_count, st.spill_count) == (1, 1)
+
+
+def test_spill_table_homes_differential():
+    # escaped slots at random homes, slots below their displacement homed
+    # across the table's end, and six values of 255 or more at one home:
+    # homed_at answers every home as a brute-force model does, after the
+    # inserts and again after removing every third slot
+    rng = random.Random(29)
+    key_bits = 11
+    size = 1 << key_bits
+    st = SpillTable(key_bits)
+    model = {}  # slot -> displacement
+    wide_home = 1000
+    for value in (255, 256, 300, 511, 700, 1500):
+        model[(wide_home + value) % size] = value
+    for slot in range(40):  # displacements past the slot: homed across the end
+        model.setdefault(slot, slot + rng.randrange(14, 200))
+    while len(model) < 600:
+        model.setdefault(rng.randrange(size), rng.choice([14, 15, 200, 254, 255, 256, 2000]))
+    for slot in rng.sample(sorted(model), len(model)):
+        st.insert(slot, model[slot])
+
+    def check():
+        homes = {}
+        for slot, value in model.items():
+            homes.setdefault((slot - value) % size, []).append(value)
+        for home in range(size):
+            assert sorted(st.homed_at(home)) == sorted(homes.get(home, []))
+        assert all(st.get(slot) == value for slot, value in model.items())
+        assert len(st._homes) == len(st._entries) == len(model)
+
+    assert sorted(st.homed_at(wide_home)) == [255, 256, 300, 511, 700, 1500]
+    assert any(slot < value for slot, value in model.items())
+    check()
+    for slot in sorted(model)[::3]:
+        st.remove(slot)
+        del model[slot]
+    check()
 
 
 def edge_at(b, home, quot):
@@ -752,6 +792,35 @@ def test_fault_in_spill_array_insert_leaves_the_map_unchanged(repr_, n):
     assert all(b.getchild(*e) == nid for e, nid in ids.items())
 
 
+@pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
+@pytest.mark.parametrize("n", [20, 300])
+def test_fault_in_spill_home_insert_leaves_the_map_unchanged(repr_, n):
+    # as above, but the slot array takes the new entry and the home array's
+    # insert raises: the slot entry and any wide value go again, so both
+    # arrays and the dict hold what they held, and the placement then
+    # succeeds and is found from its home
+    b = make_backend(cfg(repr_, capacity=1024))
+    edges = shared_home_edges(b, 700, n + 1)
+    ids = {e: b.addchild(*e) for e in edges[:n]}
+    disp = b._disp
+    escaped = {j: disp.get(j) for j in b._used_slots() if nibble(b, j) == _SMALL_ESCAPE}
+    disp._homes = _FailingInsertOnce(disp._homes.typecode, disp._homes)
+    before = table_state(b)
+    with pytest.raises(MemoryError):
+        b.addchild(*edges[n])
+    assert table_state(b) == before
+    assert all(disp.get(j) == v for j, v in escaped.items())
+    assert sorted(disp.homed_at(700)) == sorted(escaped.values())
+    assert all(b.getchild(*e) == nid for e, nid in ids.items())
+    assert b.getchild(*edges[n]) is None
+    ids[edges[n]] = b.addchild(*edges[n])
+    j = b._find_slot(*edges[n])
+    d = (j - 700) & b._cap_mask
+    assert d >= n and disp.get(j) == d and (d >= 255) == (j in disp._wide)
+    assert d in disp.homed_at(700)
+    assert all(b.getchild(*e) == nid for e, nid in ids.items())
+
+
 # ---------------------------------------------------------------- differential
 
 
@@ -1079,6 +1148,28 @@ def test_run_scan_differential(repr_, load, seed):
                for e in stored]
     randoms = [edge_at(b, rng.randrange(b.capacity), rng.randrange(qmax)) for _ in range(200)]
     assert check_searches(b, stored + shadows + randoms) > 0
+
+
+@pytest.mark.parametrize("repr_", ["cbt", "cfkt"])
+def test_escaped_hits_read_no_run(repr_, monkeypatch):
+    # 300 keys at one home: every hit, at any displacement, is found
+    # through the map's entries for that home, so none reads a run of
+    # slots; a failed search still does, to record its vacant slot
+    b = make_backend(cfg(repr_, capacity=1024))
+    edges = shared_home_edges(b, 700, 301)
+    ids = {e: b.addchild(*e) for e in edges[:300]}
+    runs = []
+
+    def counting(words, lo, hi):
+        runs.append((lo, hi))
+        return run_bits(words, lo, hi)
+
+    run_bits = trie_repr._run_bits
+    monkeypatch.setattr(trie_repr, "_run_bits", counting)
+    assert all(b.getchild(*e) == nid for e, nid in ids.items())
+    assert runs == []
+    assert b.getchild(*edges[300]) is None and runs
+    assert b._miss_slot == first_vacant(b, 700)
 
 
 # ---------------------------------------------------------------- placement
